@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "benchlib/harness.h"
+#include "benchlib/stats.h"
 #include "catalog/catalog.h"
 #include "datagen/yago_like.h"
 #include "exec/engine.h"
@@ -82,15 +83,6 @@ std::vector<uint32_t> ParseIntList(const std::string& csv) {
     out.push_back(static_cast<uint32_t>(std::atoi(item.c_str())));
   }
   return out;
-}
-
-/// Nearest-rank percentile of `values` (p in [0, 100]).
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const size_t rank = static_cast<size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(values.size())));
-  return values[std::min(values.size() - 1, rank == 0 ? 0 : rank - 1)];
 }
 
 struct CellResult {

@@ -27,13 +27,13 @@
 // comparability key there, so socket recordings never get diffed
 // against in-process ones by accident.
 
-#include <algorithm>
-#include <cmath>
+#include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "benchlib/harness.h"
+#include "benchlib/stats.h"
 #include "catalog/catalog.h"
 #include "datagen/yago_like.h"
 #include "net/client.h"
@@ -49,15 +49,6 @@ using namespace wireframe;
 
 namespace {
 
-/// Nearest-rank percentile of `values` (p in [0, 100]).
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const size_t rank = static_cast<size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(values.size())));
-  return values[std::min(values.size() - 1, rank == 0 ? 0 : rank - 1)];
-}
-
 std::string FormatMs(double ms) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2f", ms);
@@ -70,6 +61,19 @@ struct TransportResult {
   uint64_t total_rows = 0;
   uint64_t ok = 0;
   double wall_seconds = 0.0;
+  /// Engine phase seconds summed over every run: from the session in
+  /// process, from the decoded REPORT frame over the socket.
+  double phase1_seconds = 0.0;
+  double burnback_seconds = 0.0;
+  double freeze_seconds = 0.0;
+  double phase2_seconds = 0.0;
+
+  void AddPhases(const EngineStats& stats) {
+    phase1_seconds += stats.phase1_seconds;
+    burnback_seconds += stats.burnback_seconds;
+    freeze_seconds += stats.freeze_seconds;
+    phase2_seconds += stats.phase2_seconds;
+  }
 };
 
 /// Closed-loop in-process pass: Submit + Wait per query, like a caller
@@ -93,6 +97,7 @@ TransportResult RunInProcess(runtime::Server& server,
       }
       (*session)->Wait();
       result.latencies_ms.push_back(one.ElapsedMillis());
+      result.AddPhases((*session)->stats());
       if ((*session)->outcome() == runtime::QueryOutcome::kCompleted) {
         ++result.ok;
         result.total_rows += sink.count();
@@ -120,6 +125,7 @@ Result<TransportResult> RunSocket(const std::string& address,
       auto streamed = client->Run(workload[i]);
       result.latencies_ms.push_back(one.ElapsedMillis());
       if (!streamed.ok()) return streamed.status();  // wire fault: abort
+      result.AddPhases(streamed->report.stats);
       if (streamed->report.outcome == runtime::QueryOutcome::kCompleted) {
         ++result.ok;
         const uint64_t rows = streamed->report.has_aggregate
@@ -151,6 +157,7 @@ Result<TransportResult> RunSocketRetry(
       auto streamed = client.Run(workload[i]);
       result.latencies_ms.push_back(one.ElapsedMillis());
       if (!streamed.ok()) return streamed.status();  // wire fault: abort
+      result.AddPhases(streamed->report.stats);
       if (streamed->report.outcome == runtime::QueryOutcome::kCompleted) {
         ++result.ok;
         const uint64_t rows = streamed->report.has_aggregate
@@ -322,6 +329,10 @@ int main(int argc, char** argv) {
     record.threads = pool_threads;
     record.p50_seconds = p50 / 1e3;
     record.p99_seconds = p99 / 1e3;
+    record.phase1_seconds = r.phase1_seconds;
+    record.burnback_seconds = r.burnback_seconds;
+    record.freeze_seconds = r.freeze_seconds;
+    record.phase2_seconds = r.phase2_seconds;
     json.Add(record);
   };
   if (want_inproc) report("in-process", inproc);

@@ -18,6 +18,11 @@ namespace {
 /// dispatch cost is one fetch_add per morsel.
 constexpr uint64_t kRootMorsel = 64;
 
+/// Rows per output batch. Every emission is written into the context's
+/// batch and reaches the sink one EmitBatch call per this many rows, so
+/// a declining sink can leave at most this many rows made but unseen.
+constexpr size_t kBatchRows = 256;
+
 /// One chord evaluated by span intersection: at its check depth exactly
 /// one endpoint is newly bound, so the chord constrains the extension
 /// candidates to the chord-neighbors of the already-bound endpoint — a
@@ -67,6 +72,10 @@ struct EmitContext {
   /// touches its own depth's buffers, so recursion below it is safe.
   std::vector<std::vector<NodeId>> isect_a;
   std::vector<std::vector<NodeId>> isect_b;
+  /// The output batch: kBatchRows rows of binding.size() columns,
+  /// row-major; the first batch_rows are filled.
+  std::vector<NodeId> batch;
+  size_t batch_rows = 0;
 
   /// Amortized deadline + cancellation probe; also true once the sink
   /// declined more rows.
@@ -75,6 +84,45 @@ struct EmitContext {
     if (!probe.Hit()) return false;
     stop = true;
     return true;
+  }
+
+  /// Hands the filled rows to the sink; `emitted` counts the rows it
+  /// consumed. A decline stops the run.
+  void Flush() {
+    if (batch_rows == 0) return;
+    if (!DeliverBatch(sink, batch.data(), batch_rows, binding.size(),
+                      &stats.emitted)) {
+      stop = true;
+    }
+    batch_rows = 0;
+  }
+
+  /// Appends the current (complete) binding as one row.
+  void EmitRow() {
+    std::copy(binding.begin(), binding.end(),
+              batch.data() + batch_rows * binding.size());
+    if (++batch_rows == kBatchRows) Flush();
+  }
+
+  /// Appends one row per candidate: the current binding with `free_var`
+  /// set to the candidate. The leaf-depth form of EmitRow — no
+  /// per-candidate recursion, and the span goes into the batch in
+  /// chunks of whatever room is left.
+  void EmitSpan(std::span<const NodeId> candidates, VarId free_var) {
+    const size_t width = binding.size();
+    size_t i = 0;
+    while (i < candidates.size() && !stop) {
+      const size_t take =
+          std::min(candidates.size() - i, kBatchRows - batch_rows);
+      NodeId* row = batch.data() + batch_rows * width;
+      for (size_t k = 0; k < take; ++k, row += width) {
+        std::copy(binding.begin(), binding.end(), row);
+        row[free_var] = candidates[i + k];
+      }
+      i += take;
+      batch_rows += take;
+      if (batch_rows == kBatchRows) Flush();
+    }
   }
 };
 
@@ -97,12 +145,13 @@ void EmitStep(EmitContext& ctx, size_t depth);
 /// The frozen fast path for a depth whose chords all intersect: instead
 /// of scanning `ext` and probing every chord per candidate, intersect
 /// the extension span with each chord span (both sorted CSR spans) and
-/// recurse only over the survivors. Accounting matches the scan+probe
+/// recurse only over the survivors — or, at the last depth, write them
+/// into the output batch as one span. Accounting matches the scan+probe
 /// path exactly: one extension per span candidate, one rejection per
 /// candidate failing any chord — so stats stay invariant across the two
 /// forms (and across dispatch and thread count).
 void IntersectAndRecurse(EmitContext& ctx, size_t depth,
-                         std::span<const NodeId> ext, NodeId& free_slot) {
+                         std::span<const NodeId> ext, VarId free_var) {
   const DepthChords& dc = (*ctx.depth_chords)[depth];
   ctx.stats.extensions += ext.size();
   std::span<const NodeId> current = ext;
@@ -122,6 +171,11 @@ void IntersectAndRecurse(EmitContext& ctx, size_t depth,
     into_a = !into_a;
   }
   ctx.stats.chord_rejections += ext.size() - current.size();
+  if (depth + 1 == ctx.order->size()) {
+    ctx.EmitSpan(current, free_var);
+    return;
+  }
+  NodeId& free_slot = ctx.binding[free_var];
   for (const NodeId value : current) {
     if (ctx.stop) break;
     free_slot = value;
@@ -133,8 +187,7 @@ void IntersectAndRecurse(EmitContext& ctx, size_t depth,
 void EmitStep(EmitContext& ctx, size_t depth) {
   if (ctx.stop) return;
   if (depth == ctx.order->size()) {
-    ++ctx.stats.emitted;
-    if (!ctx.sink->Emit(ctx.binding)) ctx.stop = true;
+    ctx.EmitRow();
     return;
   }
   const uint32_t e = (*ctx.order)[depth];
@@ -154,34 +207,38 @@ void EmitStep(EmitContext& ctx, size_t depth) {
     }
     return;
   }
-  const bool isect_chords = !ctx.depth_chords->empty() &&
-                            (*ctx.depth_chords)[depth].all_isect;
-  if (src_bound) {
-    if (isect_chords) {
-      IntersectAndRecurse(ctx, depth, set.FwdNeighbors(src_slot), dst_slot);
-      return;
+  if (src_bound || dst_bound) {
+    const VarId free_var = src_bound ? qe.dst : qe.src;
+    const NodeId key = src_bound ? src_slot : dst_slot;
+    if (set.IsFrozen()) {
+      const std::span<const NodeId> ext =
+          src_bound ? set.FwdNeighbors(key) : set.BwdNeighbors(key);
+      if (!ctx.depth_chords->empty() &&
+          (*ctx.depth_chords)[depth].all_isect) {
+        IntersectAndRecurse(ctx, depth, ext, free_var);
+        return;
+      }
+      if (depth + 1 == ctx.order->size() &&
+          (*ctx.chord_checks)[depth].empty()) {
+        // Last depth, nothing to check: the span is the rows.
+        ctx.stats.extensions += ext.size();
+        ctx.EmitSpan(ext, free_var);
+        return;
+      }
     }
-    set.ForEachFwd(src_slot, [&](NodeId v) {
+    NodeId& free_slot = ctx.binding[free_var];
+    auto extend = [&](NodeId candidate) {
       if (ctx.stop) return;
       ++ctx.stats.extensions;
-      dst_slot = v;
+      free_slot = candidate;
       if (ChordsAccept(ctx, depth)) EmitStep(ctx, depth + 1);
-      dst_slot = kInvalidNode;
-    });
-    return;
-  }
-  if (dst_bound) {
-    if (isect_chords) {
-      IntersectAndRecurse(ctx, depth, set.BwdNeighbors(dst_slot), src_slot);
-      return;
+      free_slot = kInvalidNode;
+    };
+    if (src_bound) {
+      set.ForEachFwd(key, extend);
+    } else {
+      set.ForEachBwd(key, extend);
     }
-    set.ForEachBwd(dst_slot, [&](NodeId u) {
-      if (ctx.stop) return;
-      ++ctx.stats.extensions;
-      src_slot = u;
-      if (ChordsAccept(ctx, depth)) EmitStep(ctx, depth + 1);
-      src_slot = kInvalidNode;
-    });
     return;
   }
   // Neither endpoint bound: only legal for the first edge of a connected
@@ -273,6 +330,7 @@ Result<DefactorizerStats> Defactorizer::Emit(
     ctx.binding.assign(query_->NumVars(), kInvalidNode);
     ctx.isect_a.resize(plan.join_order.size());
     ctx.isect_b.resize(plan.join_order.size());
+    ctx.batch.resize(kBatchRows * query_->NumVars());
   };
 
   ThreadPool* pool = options.pool;
@@ -370,22 +428,22 @@ Result<DefactorizerStats> Defactorizer::Emit(
           }
         });
 
-    DefactorizerStats stats;
-    stats.extensions = prefilter_extensions;
-    stats.chord_rejections = prefilter_rejections;
     bool timed_out = st.IsTimedOut();
     bool cancelled = st.IsCancelled();
-    for (uint32_t w = 0; w < workers; ++w) {
-      timed_out |= ctxs[w].probe.timed_out();
-      cancelled |= ctxs[w].probe.cancelled();
-      stats.extensions += ctxs[w].stats.extensions;
-      stats.chord_rejections += ctxs[w].stats.chord_rejections;
+    for (const EmitContext& ctx : ctxs) {
+      timed_out |= ctx.probe.timed_out();
+      cancelled |= ctx.probe.cancelled();
     }
     if (cancelled) return Status::Cancelled("embedding generation");
     if (timed_out) return Status::TimedOut("embedding generation");
-    for (SinkShard& shard : shards) {
-      shard.Flush();
-      stats.emitted += shard.count();
+    DefactorizerStats stats;
+    stats.extensions = prefilter_extensions;
+    stats.chord_rejections = prefilter_rejections;
+    for (EmitContext& ctx : ctxs) {
+      ctx.Flush();  // tail batch; a no-op once the shared stop is up
+      stats.emitted += ctx.stats.emitted;
+      stats.extensions += ctx.stats.extensions;
+      stats.chord_rejections += ctx.stats.chord_rejections;
     }
     return stats;
   }
@@ -395,6 +453,7 @@ Result<DefactorizerStats> Defactorizer::Emit(
   ctx.sink = sink;
   EmitStep(ctx, 0);
   WF_RETURN_NOT_OK(ctx.probe.StatusFor("embedding generation"));
+  ctx.Flush();
   return ctx.stats;
 }
 

@@ -43,7 +43,8 @@ struct DefactorizerOptions {
 
 /// Phase-2 counters.
 struct DefactorizerStats {
-  /// Embeddings emitted to the sink.
+  /// Embeddings the sink consumed (rows made after a decline and never
+  /// handed over are not counted).
   uint64_t emitted = 0;
   /// Tuple-extension steps performed (binding attempts across all
   /// depths); over an ideal AG this is proportional to emitted.
@@ -70,6 +71,20 @@ struct DefactorizerStats {
 /// offset lookup plus a cache-linear sorted span — instead of the
 /// build-form hash tables; an unfrozen AG (freeze_ag off, or a directly
 /// constructed one in tests) takes the hash path with identical results.
+///
+/// Output path: every embedding is written as one row into a fixed-size
+/// row-major batch owned by the enumeration context, and the sink gets
+/// whole batches through Sink::EmitBatch — on the parallel path through
+/// the worker's SinkShard, one lock acquisition per batch. At the last
+/// join depth with one free endpoint the candidate span (the frozen
+/// FwdNeighbors/BwdNeighbors span, or its chord-intersected survivors)
+/// goes into the batch directly, with no per-candidate recursion. Both
+/// paths flush the tail batch at the end. A declined batch stops the run;
+/// rows already made into a batch past the decline are dropped, so at
+/// most one batch of extra rows is ever produced per enumeration
+/// context. Stats: `emitted` counts the rows the sink consumed;
+/// `extensions` and `chord_rejections` count exactly what per-candidate
+/// extension would, for every thread count.
 class Defactorizer {
  public:
   Defactorizer(const QueryGraph& query, const AnswerGraph& ag)

@@ -1,10 +1,9 @@
 #include "net/server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
-#include "util/interrupt.h"
+#include "net/stream_sink.h"
 
 namespace wireframe {
 namespace net {
@@ -16,10 +15,6 @@ namespace {
 constexpr int kPumpSliceMs = 10;
 /// Poll cadence of an idle reader (between queries) and the acceptor.
 constexpr int kIdleSliceMs = 50;
-/// Wait slice of a suspended sink or a control-frame push: short enough
-/// that cancel/deadline probes stay responsive while the send buffer is
-/// full.
-constexpr auto kPushSlice = std::chrono::milliseconds(2);
 
 bool IsMalformed(const Status& status) {
   return status.IsInvalidArgument() || status.IsParseError() ||
@@ -27,163 +22,6 @@ bool IsMalformed(const Status& status) {
 }
 
 }  // namespace
-
-/// One live connection. The reader thread owns the protocol state
-/// machine; the writer thread drains the send queue; engine pool threads
-/// reach the queue through the query's StreamSink. Queue state and stats
-/// are guarded by `mu`; `abort` is the one-way kill switch every
-/// blocking wait polls.
-struct SocketServer::Connection {
-  uint64_t id = 0;
-  Socket sock;
-  std::string service_class;  // from HELLO, verbatim
-  std::atomic<bool> abort{false};
-  /// Client sent GOODBYE mid-query (the reader finishes the query's
-  /// REPORT first, then answers GOODBYE — drain ordering contract).
-  bool client_goodbye = false;
-
-  std::mutex mu;
-  std::condition_variable can_push;
-  std::condition_variable can_pop;
-  std::deque<std::string> queue;  // encoded frames, FIFO
-  uint64_t queue_bytes = 0;
-  /// No more pushes; the writer exits once the queue is empty, which is
-  /// what makes GOODBYE the last frame out.
-  bool closing = false;
-  runtime::ConnectionStats stats;
-
-  std::thread reader;
-  std::thread writer;
-  std::atomic<bool> finished{false};
-};
-
-/// The per-query result sink: batches rows into ROW-BATCH frames and
-/// pushes them into the connection's bounded send queue. When the queue
-/// is full it suspends in kPushSlice waits, probing the same
-/// cancel/deadline pair the engine's own loops probe (InterruptProbe) —
-/// so a slow reader throttles exactly its own query: the engine blocks
-/// inside Emit on this query's driver thread, while every other query
-/// keeps its own driver and the pool's morsel interleaving.
-class SocketServer::StreamSink : public Sink {
- public:
-  StreamSink(const SocketServerOptions& options, Connection* conn,
-             double timeout_seconds)
-      : options_(options), conn_(conn),
-        timeout_seconds_(timeout_seconds) {}
-
-  bool Emit(const std::vector<NodeId>& binding) override {
-    if (!stream_status_.ok()) return false;  // sticky after any failure
-    if (width_ == 0) {
-      width_ = static_cast<uint32_t>(binding.size());
-      // Set the width immediately: batch_.rows() divides by it, and the
-      // flush-at-batch_rows_ check below depends on a real row count.
-      batch_.width = width_;
-      const uint64_t row_bytes =
-          std::max<uint64_t>(1, width_ * sizeof(NodeId));
-      // One encoded frame must fit in half the send buffer (strict
-      // high-water bound) and under the frame cap.
-      const uint64_t half_buffer =
-          options_.send_buffer_bytes / 2 > 16
-              ? options_.send_buffer_bytes / 2 - 16
-              : 1;
-      const uint64_t frame_cap = options_.max_frame_bytes > 8
-                                     ? options_.max_frame_bytes - 8
-                                     : 1;
-      uint64_t rows = options_.rows_per_batch;
-      rows = std::min(rows, half_buffer / row_bytes);
-      rows = std::min(rows, frame_cap / row_bytes);
-      batch_rows_ = std::max<uint64_t>(1, rows);
-      // The stream budget starts at the first row, not at admission: a
-      // suspended stream still times out, just measured from here.
-      probe_ = InterruptProbe(timeout_seconds_ > 0
-                                  ? Deadline::AfterSeconds(timeout_seconds_)
-                                  : Deadline(),
-                              &cancel_);
-    }
-    batch_.data.insert(batch_.data.end(), binding.begin(), binding.end());
-    ++emitted_;
-    if (batch_.rows() + 1 > batch_rows_) return FlushBatch();
-    return true;
-  }
-
-  uint64_t count() const override { return emitted_; }
-
-  /// Flushes the partial tail batch. Call after the session finished
-  /// (no Emit can be in flight).
-  void Finish() {
-    if (stream_status_.ok() && !batch_.data.empty()) FlushBatch();
-  }
-
-  /// Reader thread: unstick a suspended Emit (CANCEL frame, GOODBYE,
-  /// server drain). Pairs with QuerySession::Cancel.
-  void RequestCancel() { cancel_.store(true, std::memory_order_relaxed); }
-
-  /// OK while the stream is healthy; kTimedOut / kCancelled when a
-  /// suspension probe fired; kIOError when the connection died under
-  /// the stream. The server folds this into the REPORT outcome (the
-  /// engine itself sees a declined sink and reports a clean stop).
-  const Status& stream_status() const { return stream_status_; }
-
- private:
-  bool FlushBatch() {
-    batch_.width = width_;
-    std::string frame;
-    AppendFrame(FrameType::kRowBatch, EncodeRowBatch(batch_), &frame);
-    batch_.data.clear();
-    return Push(std::move(frame));
-  }
-
-  /// Back-pressured enqueue; on refusal records why in stream_status_.
-  bool Push(std::string frame) {
-    std::unique_lock<std::mutex> lock(conn_->mu);
-    bool stalled = false;
-    for (;;) {
-      if (conn_->abort.load(std::memory_order_relaxed)) {
-        stream_status_ =
-            Status::IOError("connection aborted mid-stream");
-        return false;
-      }
-      if (conn_->closing) {
-        stream_status_ = Status::Cancelled("connection closing");
-        return false;
-      }
-      Status probed = probe_.CheckNow(
-          "result stream suspended past the query budget");
-      if (!probed.ok()) {
-        stream_status_ = probed;
-        return false;
-      }
-      if (conn_->queue.empty() ||
-          conn_->queue_bytes + frame.size() <=
-              options_.send_buffer_bytes) {
-        break;
-      }
-      if (!stalled) {
-        stalled = true;
-        ++conn_->stats.send_stalls;
-      }
-      conn_->can_push.wait_for(lock, kPushSlice);
-    }
-    conn_->queue_bytes += frame.size();
-    conn_->stats.buffer_bytes = conn_->queue_bytes;
-    conn_->stats.buffer_high_water =
-        std::max(conn_->stats.buffer_high_water, conn_->queue_bytes);
-    conn_->queue.push_back(std::move(frame));
-    conn_->can_pop.notify_one();
-    return true;
-  }
-
-  const SocketServerOptions& options_;
-  Connection* conn_;
-  const double timeout_seconds_;
-  uint32_t width_ = 0;
-  uint64_t batch_rows_ = 1;
-  RowBatchFrame batch_;
-  uint64_t emitted_ = 0;
-  std::atomic<bool> cancel_{false};
-  InterruptProbe probe_;
-  Status stream_status_;
-};
 
 SocketServer::SocketServer(runtime::Server* server,
                            SocketServerOptions options)
@@ -644,10 +482,13 @@ bool SocketServer::ServeQuery(Connection& conn, const QueryFrame& query) {
       break;
     }
     switch (frame->type) {
-      case FrameType::kCancel:
+      case FrameType::kCancel: {
         session->Cancel();
         sink.RequestCancel();
+        std::lock_guard<std::mutex> lock(conn.mu);
+        ++conn.stats.cancels;
         break;
+      }
       case FrameType::kGoodbye:
         conn.client_goodbye = true;
         session->Cancel();

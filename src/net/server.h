@@ -62,6 +62,8 @@ struct SocketServerOptions {
   int hello_timeout_ms = 10'000;
 };
 
+struct Connection;  // net/stream_sink.h
+
 /// The socket front-end of runtime::Server: an acceptor thread plus one
 /// reader and one writer thread per connection, speaking the net/wire.h
 /// frame protocol. One connection = one session stream — HELLO picks the
@@ -77,6 +79,16 @@ struct SocketServerOptions {
 ///  - Stop() drains gracefully: stop accepting, cancel in-flight
 ///    queries, flush every queued frame, then GOODBYE — GOODBYE is
 ///    always the last frame of a connection.
+///
+/// CANCEL is decided by when the reader thread reads it. Read while the
+/// query is still running (it polls the socket every few milliseconds
+/// while a query is in flight), it stops both the engine and the result
+/// stream: the client gets a prefix of the rows — any frame not yet
+/// queued, the partial tail frame included, is dropped — and a REPORT
+/// with outcome kCancelled. A CANCEL that races completion, still unread
+/// when the query's session finishes, is read by the idle session loop
+/// instead and ignored: the stream is whole and the REPORT says
+/// kCompleted. Either way the connection stays open for the next query.
 class SocketServer {
  public:
   /// `server` is borrowed and must outlive this object.
@@ -101,9 +113,6 @@ class SocketServer {
   runtime::RuntimeStats stats() const;
 
  private:
-  struct Connection;
-  class StreamSink;
-
   void AcceptLoop();
   void ReaderLoop(const std::shared_ptr<Connection>& conn);
   void WriterLoop(const std::shared_ptr<Connection>& conn);

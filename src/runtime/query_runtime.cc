@@ -13,42 +13,6 @@
 namespace wireframe {
 namespace runtime {
 
-namespace {
-
-/// Caps the rows a run may hand to the request sink. A row beyond the
-/// budget is refused (never forwarded) and returning false asks the
-/// engine to stop — engines treat a declining sink as a result, not an
-/// error, so a budget-clamped run finishes with OK and the runtime
-/// reports kBudgetExhausted from the `exhausted` flag. The flag is only
-/// raised by an actual refusal: a result with exactly `budget` rows
-/// completes naturally and reports kCompleted (at the price of the
-/// engine producing one surplus row to discover the end).
-class RowBudgetSink : public Sink {
- public:
-  RowBudgetSink(Sink* inner, uint64_t budget)
-      : inner_(inner), budget_(budget) {}
-
-  bool Emit(const std::vector<NodeId>& binding) override {
-    if (count_ >= budget_) {
-      exhausted_ = true;
-      return false;
-    }
-    const bool inner_wants_more = inner_->Emit(binding);
-    ++count_;
-    return inner_wants_more;
-  }
-  uint64_t count() const override { return count_; }
-  bool exhausted() const { return exhausted_; }
-
- private:
-  Sink* inner_;
-  uint64_t budget_;
-  uint64_t count_ = 0;
-  bool exhausted_ = false;
-};
-
-}  // namespace
-
 const char* QueryOutcomeName(QueryOutcome outcome) {
   switch (outcome) {
     case QueryOutcome::kPending:

@@ -300,6 +300,9 @@ struct ConnectionStats {
   /// Streams cut short by disconnect or write failure (no REPORT made it
   /// to the client).
   uint64_t aborted_streams = 0;
+  /// CANCEL frames that reached an in-flight query: counted after the
+  /// query and its result stream were both told to stop.
+  uint64_t cancels = 0;
   /// Send-buffer occupancy: right now, and the lifetime maximum. The
   /// high-water mark never exceeds the configured send-buffer bound as
   /// long as one encoded frame fits in it (the back-pressure test pins

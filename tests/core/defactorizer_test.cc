@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -139,6 +140,119 @@ TEST(DefactorizerTest, TombstonedPairsAreSkipped) {
   auto n = defac.Emit(PlanOrder({0, 1, 2}), &sink, DefactorizerOptions{});
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value().emitted, 9u);  // 3 * 1 * 3
+}
+
+// --- Batched output: stats are invariant across thread counts and
+// across the span (frozen) and per-candidate (unfrozen) leaf forms. ---
+
+struct PhaseTwoRun {
+  DefactorizerStats stats;
+  std::multiset<std::vector<NodeId>> rows;
+};
+
+PhaseTwoRun RunPhaseTwo(const QueryGraph& q, const AnswerGraph& ag,
+                        const EmbeddingPlan& plan, ThreadPool* pool) {
+  Defactorizer defac(q, ag);
+  CollectingSink sink;
+  DefactorizerOptions options;
+  options.pool = pool;
+  auto stats = defac.Emit(plan, &sink, options);
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  PhaseTwoRun run;
+  if (stats.ok()) run.stats = stats.value();
+  run.rows = {sink.rows().begin(), sink.rows().end()};
+  return run;
+}
+
+/// Serial over the unfrozen AG (per-candidate extension at every depth)
+/// is the reference; the frozen AG at threads 1 and 4 must match it.
+void ExpectInvariantStats(const QueryGraph& q, AnswerGraph& ag,
+                          const EmbeddingPlan& plan) {
+  const PhaseTwoRun reference = RunPhaseTwo(q, ag, plan, nullptr);
+  ag.Freeze();
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const PhaseTwoRun run = RunPhaseTwo(q, ag, plan, p);
+    const char* label = p == nullptr ? "threads=1" : "threads=4";
+    EXPECT_EQ(run.stats.emitted, reference.stats.emitted) << label;
+    EXPECT_EQ(run.stats.emitted, run.rows.size()) << label;
+    EXPECT_EQ(run.stats.extensions, reference.stats.extensions) << label;
+    EXPECT_EQ(run.stats.chord_rejections, reference.stats.chord_rejections)
+        << label;
+    EXPECT_EQ(run.rows, reference.rows) << label;
+  }
+}
+
+/// Snowflake around c: c -0-> a, c -1-> b, c -2-> d, a -3-> e, plus an
+/// incoming f -4-> c. Skewed fan-outs put thousands of rows through
+/// many batches and root morsels.
+QueryGraph SnowflakeQuery() {
+  QueryGraph q;
+  const VarId c = q.AddVar("c"), a = q.AddVar("a"), b = q.AddVar("b");
+  const VarId d = q.AddVar("d"), e = q.AddVar("e"), f = q.AddVar("f");
+  q.AddEdge(c, 0, a);
+  q.AddEdge(c, 1, b);
+  q.AddEdge(c, 2, d);
+  q.AddEdge(a, 3, e);
+  q.AddEdge(f, 4, c);
+  return q;
+}
+
+void FillSnowflake(AnswerGraph& ag) {
+  for (NodeId c = 0; c < 150; ++c) {
+    for (NodeId i = 0; i < 3; ++i) ag.Set(0).Add(c, 1000 + c * 3 + i);
+    for (NodeId i = 0; i <= c % 4; ++i) ag.Set(1).Add(c, 2000 + i);
+    for (NodeId i = 0; i < 2; ++i) ag.Set(2).Add(c, 3000 + (c + i) % 7);
+    for (NodeId i = 0; i <= c % 3; ++i) ag.Set(4).Add(5000 + i, c);
+  }
+  for (NodeId a = 1000; a < 1450; ++a) {
+    for (NodeId i = 0; i <= a % 3; ++i) ag.Set(3).Add(a, 4000 + i);
+  }
+  for (uint32_t e = 0; e < 5; ++e) ag.MarkMaterialized(e);
+}
+
+TEST(DefactorizerBatchTest, SnowflakeStatsMatchAcrossThreadCounts) {
+  const QueryGraph q = SnowflakeQuery();
+  // Last depth a -3-> e extends forward; then f -4-> c extends backward.
+  for (const std::vector<uint32_t>& order :
+       {std::vector<uint32_t>{4, 0, 1, 2, 3}, {0, 1, 2, 3, 4}}) {
+    AnswerGraph ag(q);
+    FillSnowflake(ag);
+    ExpectInvariantStats(q, ag, PlanOrder(order));
+  }
+}
+
+TEST(DefactorizerBatchTest, DiamondWithChordAtLastDepthMatchesAcrossThreads) {
+  // x -0-> y -2-> w and x -1-> z, closed by the materialized chord z~w:
+  // under order {0, 1, 2} the last depth binds w, constrained by the
+  // chord from the already-bound z — the chord-intersected leaf span.
+  QueryGraph q;
+  const VarId x = q.AddVar("x"), y = q.AddVar("y");
+  const VarId z = q.AddVar("z"), w = q.AddVar("w");
+  q.AddEdge(x, 0, y);
+  q.AddEdge(x, 1, z);
+  q.AddEdge(y, 2, w);
+  AnswerGraph ag(q);
+  const uint32_t chord = ag.AddChordSlot(z, w);
+  for (NodeId xv = 0; xv < 120; ++xv) {
+    for (NodeId i = 0; i < 3; ++i) {
+      ag.Set(0).Add(xv, 500 + (xv + i) % 40);
+      ag.Set(1).Add(xv, 600 + (xv * 7 + i) % 30);
+    }
+  }
+  for (NodeId yv = 500; yv < 540; ++yv) {
+    for (NodeId i = 0; i < 5; ++i) ag.Set(2).Add(yv, 700 + (yv + i) % 25);
+  }
+  for (NodeId zv = 600; zv < 630; ++zv) {
+    for (NodeId wv = 700; wv < 725; ++wv) {
+      if ((zv + wv) % 3 != 0) ag.Set(chord).Add(zv, wv);
+    }
+  }
+  for (uint32_t e = 0; e < ag.NumEdgeSets(); ++e) ag.MarkMaterialized(e);
+  const PhaseTwoRun unfrozen =
+      RunPhaseTwo(q, ag, PlanOrder({0, 1, 2}), nullptr);
+  EXPECT_GT(unfrozen.stats.chord_rejections, 0u) << "the chord must bite";
+  ExpectInvariantStats(q, ag, PlanOrder({0, 1, 2}));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 // hand-offs are exactly where cross-thread races would live.
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "net/stream_sink.h"
 #include "net/wire.h"
 #include "runtime/server.h"
 
@@ -238,6 +240,39 @@ TEST_F(SocketServerTest, ConnectionStatsAreReported) {
   EXPECT_TRUE((*client)->Goodbye().ok());
 }
 
+TEST(StreamSinkTest, BatchedAndPerRowDeliveryCutIdenticalFrames) {
+  SocketServerOptions options;
+  options.rows_per_batch = 7;  // frames end mid-batch and across batches
+  constexpr size_t kWidth = 3;
+  constexpr size_t kRows = 100;
+  std::vector<NodeId> rows(kRows * kWidth);
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = static_cast<NodeId>(i);
+
+  Connection per_row_conn;
+  StreamSink per_row(options, &per_row_conn, /*timeout_seconds=*/0);
+  for (size_t r = 0; r < kRows; ++r) {
+    ASSERT_TRUE(per_row.Emit(std::vector<NodeId>(
+        rows.begin() + r * kWidth, rows.begin() + (r + 1) * kWidth)));
+  }
+  per_row.Finish();
+
+  Connection batched_conn;
+  StreamSink batched(options, &batched_conn, /*timeout_seconds=*/0);
+  size_t done = 0;
+  for (size_t chunk : {1, 5, 13, 7, 30, 44}) {
+    ASSERT_TRUE(batched.EmitBatch(rows.data() + done * kWidth, chunk, kWidth));
+    done += chunk;
+  }
+  ASSERT_EQ(done, kRows);
+  batched.Finish();
+
+  EXPECT_EQ(per_row_conn.queue.size(), (kRows + 6) / 7);
+  EXPECT_EQ(batched_conn.queue, per_row_conn.queue);
+  EXPECT_EQ(batched_conn.queue_bytes, per_row_conn.queue_bytes);
+  EXPECT_EQ(batched.count(), kRows);
+  EXPECT_EQ(per_row.count(), kRows);
+}
+
 /// Chain-blowup store (90k embeddings, ~1.4 MB of rows): enough stream
 /// volume that kills, cancels, and budgets land mid-flight. The app
 /// send buffer AND the kernel-level SO_SNDBUF are deliberately tiny so
@@ -287,12 +322,26 @@ class BlowupNetTest : public ::testing::Test {
 TEST_F(BlowupNetTest, CancelFrameStopsTheStream) {
   std::unique_ptr<Client> client = SmallBufferClient();
   bool cancelled = false;
+  bool cancel_seen = false;
   auto result = client->Run(kBlowup, [&](const RowBatchFrame&) {
     if (!cancelled) {
       cancelled = true;
       EXPECT_TRUE(client->SendCancel().ok());
+      // Stop reading until the server has acted on the CANCEL. The
+      // stream (~1.4 MB) is far larger than every buffer between the
+      // sink and this client, so until then the sink is held in its
+      // back-pressure wait and the query cannot finish first.
+      for (int i = 0; i < 30000 && !cancel_seen; ++i) {
+        const runtime::RuntimeStats stats = net_->stats();
+        cancel_seen = !stats.connections.empty() &&
+                      stats.connections[0].cancels == 1;
+        if (!cancel_seen) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
     }
   });
+  ASSERT_TRUE(cancel_seen) << "the server never read the CANCEL";
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->report.outcome, runtime::QueryOutcome::kCancelled);
   EXPECT_LT(result->rows.size(), 90000u);  // cut short of the full set

@@ -213,6 +213,20 @@ TEST_F(QueryRuntimeTest, ExactBudgetResultCompletesNaturally) {
   EXPECT_EQ((*session)->rows_emitted(), 200u * 200u);
 }
 
+TEST_F(QueryRuntimeTest, BudgetOneShortOfTheResultDeliversExactlyTheBudget) {
+  RuntimeOptions options = SmallRuntime(2, 4);
+  QueryRuntime runtime(options);
+  CountingSink sink;
+  QueryRequest request = Request(&sink);
+  request.row_budget = 200 * 200 - 1;  // the last row is the surplus one
+  auto session = runtime.Submit(std::move(request));
+  ASSERT_TRUE(session.ok());
+  (*session)->Wait();
+  EXPECT_EQ((*session)->outcome(), QueryOutcome::kBudgetExhausted);
+  EXPECT_EQ((*session)->rows_emitted(), 200u * 200u - 1);
+  EXPECT_EQ(sink.count(), 200u * 200u - 1);
+}
+
 TEST_F(QueryRuntimeTest, PerRequestRowBudgetOverridesDefault) {
   RuntimeOptions options = SmallRuntime(2, 4);
   options.admission.default_row_budget = 100;
