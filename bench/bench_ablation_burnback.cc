@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
            TablePrinter::FormatSeconds(detail->stats.phase1_seconds),
            TablePrinter::FormatSeconds(detail->stats.phase2_seconds),
            TablePrinter::FormatSeconds(detail->stats.seconds),
-           TablePrinter::FormatCount(detail->pairs_burned)});
+           TablePrinter::FormatCount(detail->stats.pairs_burned)});
     }
   }
   table.Print(std::cout);

@@ -122,6 +122,7 @@ void BM_Defactorize(benchmark::State& state) {
   for (uint32_t i = 0; i < fan; ++i) ag.Set(1).Add(1000000, 2000000 + i);
   ag.MarkMaterialized(0);
   ag.MarkMaterialized(1);
+  ag.Freeze();
   EmbeddingPlan plan;
   plan.join_order = {0, 1};
   Defactorizer defac(q, ag);

@@ -82,7 +82,8 @@ int main(int argc, char** argv) {
     std::cout << "  phase1 " << detail->stats.phase1_seconds << " s, phase2 "
               << detail->stats.phase2_seconds << " s, total "
               << detail->stats.seconds << " s\n";
-    std::cout << "  pairs burned back: " << detail->pairs_burned << "\n\n";
+    std::cout << "  pairs burned back: " << detail->stats.pairs_burned
+              << "\n\n";
   }
   std::cout << "|embeddings| = " << embeddings
             << " (identical in every mode — the AG is an evaluation\n"

@@ -36,7 +36,7 @@ struct BenchConfig {
   /// Print per-query phase diagnostics for WF.
   bool verbose = false;
   /// Worker threads for every engine run (EngineOptions::threads: 1 =
-  /// serial paths, 0 = all hardware cores).
+  /// morsel loops inline on the calling thread, 0 = all hardware cores).
   uint32_t threads = 1;
   /// When set, RunSuite appends one BenchRecord per (query, engine) cell
   /// (not owned; the driver writes the file).

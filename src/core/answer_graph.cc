@@ -33,7 +33,6 @@ uint64_t PairSet::MergeShard(const PairSetShard& shard) {
 bool PairSet::Erase(NodeId u, NodeId v) {
   WF_CHECK(!frozen_) << "Erase on a frozen PairSet";
   if (!live_.Erase(PackPair(u, v))) return false;
-  compact_ = false;
   uint32_t* su = src_count_.Find(u);
   WF_DCHECK(su != nullptr && *su > 0);
   if (--*su == 0) --distinct_src_;
@@ -41,29 +40,6 @@ bool PairSet::Erase(NodeId u, NodeId v) {
   WF_DCHECK(dv != nullptr && *dv > 0);
   if (--*dv == 0) --distinct_dst_;
   return true;
-}
-
-void PairSet::Compact() {
-  if (frozen_ || compact_) return;
-  fwd_.EraseIf([&](NodeId u, std::vector<NodeId>& targets) {
-    size_t keep = 0;
-    for (NodeId v : targets) {
-      if (Contains(u, v)) targets[keep++] = v;
-    }
-    targets.resize(keep);
-    return keep == 0;
-  });
-  bwd_.EraseIf([&](NodeId v, std::vector<NodeId>& sources) {
-    size_t keep = 0;
-    for (NodeId u : sources) {
-      if (Contains(u, v)) sources[keep++] = u;
-    }
-    sources.resize(keep);
-    return keep == 0;
-  });
-  src_count_.EraseIf([](NodeId, uint32_t& count) { return count == 0; });
-  dst_count_.EraseIf([](NodeId, uint32_t& count) { return count == 0; });
-  compact_ = true;
 }
 
 void PairSet::Freeze() {
@@ -92,7 +68,6 @@ void PairSet::Freeze() {
   fwd_csr_.ForEach([&](NodeId u, NodeId v) { reversed.emplace_back(v, u); });
   bwd_csr_ = Csr::Build(std::move(reversed));
   frozen_ = true;
-  compact_ = true;
 }
 
 uint32_t PairSet::SrcCount(NodeId u) const {
@@ -144,25 +119,17 @@ void AnswerGraph::MarkMaterialized(uint32_t index) {
 void AnswerGraph::Freeze(ThreadPool* pool, uint32_t weight) {
   if (frozen_) return;
   frozen_ = true;
-  // No Compact first: Freeze reads the live-pair index directly and
-  // drops the (possibly tombstoned) adjacency lists wholesale, so
-  // compacting them would be pure waste.
-  if (pool != nullptr && pool->num_threads() > 1 && sets_.size() > 1) {
-    ParallelForOptions pf;
-    pf.morsel_size = 1;
-    pf.weight = weight;
-    const Status st = pool->ParallelFor(
-        sets_.size(), pf, [&](uint32_t, uint64_t begin, uint64_t end) {
-          for (uint64_t s = begin; s < end; ++s) {
-            sets_[s].Freeze();
-          }
-        });
-    WF_CHECK(st.ok()) << "freeze has no deadline";
-    return;
-  }
-  for (PairSet& set : sets_) {
-    set.Freeze();
-  }
+  // Freeze reads the live-pair index directly and drops the (possibly
+  // tombstoned) adjacency lists wholesale.
+  if (pool == nullptr) pool = InlinePool();
+  ParallelForOptions pf;
+  pf.morsel_size = 1;
+  pf.weight = weight;
+  const Status st = pool->ParallelFor(
+      sets_.size(), pf, [&](uint32_t, uint64_t begin, uint64_t end) {
+        for (uint64_t s = begin; s < end; ++s) sets_[s].Freeze();
+      });
+  WF_CHECK(st.ok()) << "freeze has no deadline";
 }
 
 uint64_t AnswerGraph::FrozenByteSize() const {

@@ -56,8 +56,7 @@ class PairSetShard {
 ///      the live-pair set on iteration, which keeps deletion O(1) per
 ///      pair at the cost of a membership probe during scans — the classic
 ///      tombstone trade-off, chosen because burnback deletes in bulk and
-///      never re-inserts. Compact() drops the tombstones once generation
-///      finishes.
+///      never re-inserts.
 ///   2. **Frozen form** (immutable, CSR-indexed). Freeze() converts the
 ///      live pairs into forward/backward Csr arrays (util/csr.h: sorted
 ///      neighbor spans, prefix-offset indexed, same shape as
@@ -143,16 +142,6 @@ class PairSet {
     return erased;
   }
 
-  /// Rebuilds the adjacency lists without tombstones. After compaction —
-  /// and until the next Erase — iteration skips the per-pair liveness
-  /// probe, which makes defactorization a pure array scan. Called on
-  /// every edge set when answer-graph generation finishes. No-op on a
-  /// frozen set (freezing implies compactness).
-  void Compact();
-
-  /// True iff iteration currently needs no liveness filtering.
-  bool IsCompact() const { return frozen_ || compact_; }
-
   /// Converts the set into its immutable frozen form: forward/backward
   /// CSR arrays over the live pairs, hash tables released. Idempotent.
   /// After this, Add/Erase/MergeShard are program errors; every reader
@@ -223,10 +212,6 @@ class PairSet {
     }
     const std::vector<NodeId>* targets = fwd_.Find(u);
     if (targets == nullptr) return;
-    if (compact_) {
-      for (NodeId v : *targets) fn(v);
-      return;
-    }
     for (NodeId v : *targets) {
       if (Contains(u, v)) fn(v);
     }
@@ -241,10 +226,6 @@ class PairSet {
     }
     const std::vector<NodeId>* sources = bwd_.Find(v);
     if (sources == nullptr) return;
-    if (compact_) {
-      for (NodeId u : *sources) fn(u);
-      return;
-    }
     for (NodeId u : *sources) {
       if (Contains(u, v)) fn(u);
     }
@@ -295,9 +276,6 @@ class PairSet {
   NodeMap<uint32_t> dst_count_;
   uint64_t distinct_src_ = 0;
   uint64_t distinct_dst_ = 0;
-  /// True while the adjacency lists are tombstone-free (empty set, or
-  /// freshly compacted with no erase since).
-  bool compact_ = true;
   /// Frozen form (populated by Freeze; empty before).
   Csr fwd_csr_;
   Csr bwd_csr_;
@@ -346,9 +324,9 @@ class AnswerGraph {
   /// Freezes every edge set into its immutable CSR form (see
   /// PairSet::Freeze). Call once phase 1 — including the final burnback —
   /// is over; phase 2 then reads sorted spans instead of hash tables.
-  /// Sets freeze independently, so a pool (borrowed, may be null)
-  /// parallelizes the conversion one set per morsel; `weight` is the
-  /// task-group scheduler share on a shared pool. Idempotent.
+  /// Sets freeze independently, one set per morsel on `pool` (borrowed;
+  /// null runs on InlinePool); `weight` is the task-group scheduler share
+  /// on a shared pool. Idempotent.
   void Freeze(ThreadPool* pool = nullptr, uint32_t weight = 1);
 
   /// True iff Freeze has run.

@@ -14,11 +14,11 @@ namespace wireframe {
 
 namespace {
 
-/// Probe rows per morsel on the parallel path.
+/// Probe rows per morsel of a hash join.
 constexpr uint64_t kProbeMorsel = 1024;
 /// Result rows per morsel for the final emit scan.
 constexpr uint64_t kEmitMorsel = 256;
-/// Shared join keys per morsel on the parallel leaf-merge path.
+/// Shared join keys per morsel of a leaf merge.
 constexpr uint64_t kMergeMorsel = 128;
 
 /// A leaf⋈leaf join eligible for the sorted-merge fast path: both edges
@@ -36,7 +36,7 @@ struct LeafMerge {
 bool PlanLeafMerge(const QueryGraph& query, const AnswerGraph& ag,
                    const BushyPlan::Node& lnode,
                    const BushyPlan::Node& rnode, LeafMerge* out) {
-  if (!ag.IsFrozen() || !lnode.IsLeaf() || !rnode.IsLeaf()) return false;
+  if (!lnode.IsLeaf() || !rnode.IsLeaf()) return false;
   const QueryEdge& lq = query.Edge(lnode.edge);
   const QueryEdge& rq = query.Edge(rnode.edge);
   if (lq.src == lq.dst || rq.src == rq.dst) return false;
@@ -64,15 +64,31 @@ bool PlanLeafMerge(const QueryGraph& query, const AnswerGraph& ag,
 Result<DefactorizerStats> BushyExecutor::Emit(
     const BushyPlan& plan, Sink* sink,
     const BushyExecutorOptions& options) const {
+  WF_CHECK(ag_->IsFrozen()) << "phase 2 requires a frozen AnswerGraph";
   DefactorizerStats stats;
   uint64_t total_cells = 0;
-  ThreadPool* pool = options.pool;
-  const bool parallel = pool != nullptr && pool->num_threads() > 1;
+  ThreadPool* pool = options.pool != nullptr ? options.pool : InlinePool();
 
-  // Serial-path interrupt probe; the parallel loops get the same checks
+  // Join-barrier interrupt check; the morsel loops get the same checks
   // per morsel from ParallelFor. (`probe` would shadow the join's probe
   // side, hence the name.)
   InterruptProbe interrupt(options.deadline, options.cancel);
+
+  // Runs body(worker, begin, end) over [0, n) in `morsel`-sized morsels
+  // on the pool, mapping an interrupt to the status of stage `what`.
+  auto morsels = [&](uint64_t n, uint64_t morsel, std::atomic<bool>* stop,
+                     const char* what, auto&& body) -> Status {
+    ParallelForOptions pf;
+    pf.morsel_size = morsel;
+    pf.deadline = options.deadline;
+    pf.stop = stop;
+    pf.cancel = options.cancel;
+    pf.weight = options.weight;
+    const Status st = pool->ParallelFor(n, pf, body);
+    if (st.IsCancelled()) return Status::Cancelled(what);
+    if (st.IsTimedOut()) return Status::TimedOut(what);
+    return st;
+  };
 
   auto materialize = [&](auto&& self,
                          int index) -> Result<JoinRelation> {
@@ -145,32 +161,16 @@ Result<DefactorizerStats> BushyExecutor::Emit(
           }
         }
       };
-      if (parallel && num_common > kMergeMorsel) {
-        const uint64_t num_morsels =
-            (num_common + kMergeMorsel - 1) / kMergeMorsel;
-        std::vector<std::vector<NodeId>> chunks(num_morsels);
-        ParallelForOptions pf;
-        pf.morsel_size = kMergeMorsel;
-        pf.deadline = options.deadline;
-        pf.cancel = options.cancel;
-        pf.weight = options.weight;
-        const Status st = pool->ParallelFor(
-            num_common, pf, [&](uint32_t, uint64_t begin, uint64_t end) {
-              gather(begin, end, chunks[begin / kMergeMorsel]);
-            });
-        if (st.IsCancelled()) return Status::Cancelled("bushy join");
-        if (st.IsTimedOut()) return Status::TimedOut("bushy join");
-        out.cells.reserve(rows * 3);
-        for (const std::vector<NodeId>& chunk : chunks) {
-          out.cells.insert(out.cells.end(), chunk.begin(), chunk.end());
-        }
-      } else {
-        out.cells.reserve(rows * 3);
-        for (uint64_t c = 0; c < num_common; c += kMergeMorsel) {
-          if (interrupt.Hit()) return interrupt.StatusFor("bushy join");
-          gather(c, std::min<uint64_t>(c + kMergeMorsel, num_common),
-                 out.cells);
-        }
+      std::vector<std::vector<NodeId>> chunks(
+          (num_common + kMergeMorsel - 1) / kMergeMorsel);
+      WF_RETURN_NOT_OK(morsels(
+          num_common, kMergeMorsel, nullptr, "bushy join",
+          [&](uint32_t, uint64_t begin, uint64_t end) {
+            gather(begin, end, chunks[begin / kMergeMorsel]);
+          }));
+      out.cells.reserve(rows * 3);
+      for (const std::vector<NodeId>& chunk : chunks) {
+        out.cells.insert(out.cells.end(), chunk.begin(), chunk.end());
       }
       total_cells += out.cells.size();
     } else {
@@ -228,66 +228,45 @@ Result<DefactorizerStats> BushyExecutor::Emit(
         }
       };
 
-      if (parallel && probe.NumRows() > kProbeMorsel) {
-        // Morsel-parallel probe: each morsel fills a private chunk;
-        // chunks concatenate in morsel order, so the joined relation is
-        // bit-identical to the serial one. The hash table and both input
-        // relations are only read.
-        const uint64_t num_probe = probe.NumRows();
-        const uint64_t num_morsels =
-            (num_probe + kProbeMorsel - 1) / kProbeMorsel;
-        std::vector<std::vector<NodeId>> chunks(num_morsels);
-        std::vector<uint64_t> chunk_matches(num_morsels, 0);
-        // Memory guard while workers run; the deterministic budget
-        // decision is re-made against the exact total after the merge.
-        std::atomic<uint64_t> cells_in_flight{total_cells};
-        std::atomic<bool> over_budget{false};
-        ParallelForOptions pf;
-        pf.morsel_size = kProbeMorsel;
-        pf.deadline = options.deadline;
-        pf.stop = &over_budget;
-        pf.cancel = options.cancel;
-        pf.weight = options.weight;
-        const Status st = pool->ParallelFor(
-            num_probe, pf,
-            [&](uint32_t, uint64_t begin, uint64_t end) {
-              const uint64_t m = begin / kProbeMorsel;
-              for (uint64_t r = begin; r < end; ++r) {
-                probe_one(r, chunks[m], chunk_matches[m]);
-              }
-              if (cells_in_flight.fetch_add(chunks[m].size(),
-                                            std::memory_order_relaxed) +
-                      chunks[m].size() >
-                  options.max_cells) {
-                over_budget.store(true, std::memory_order_relaxed);
-              }
-            });
-        if (st.IsCancelled()) return Status::Cancelled("bushy join");
-        if (st.IsTimedOut()) return Status::TimedOut("bushy join");
-        uint64_t merged = 0;
-        for (const std::vector<NodeId>& chunk : chunks) {
-          merged += chunk.size();
-        }
-        if (over_budget.load(std::memory_order_relaxed) ||
-            merged + total_cells > options.max_cells) {
-          return Status::OutOfRange(
-              "bushy intermediate exceeded the memory budget");
-        }
-        out.cells.reserve(merged);
-        for (uint64_t m = 0; m < num_morsels; ++m) {
-          out.cells.insert(out.cells.end(), chunks[m].begin(),
-                           chunks[m].end());
-          stats.extensions += chunk_matches[m];
-        }
-      } else {
-        for (size_t r = 0; r < probe.NumRows(); ++r) {
-          if (interrupt.Hit()) return interrupt.StatusFor("bushy join");
-          probe_one(r, out.cells, stats.extensions);
-          if (out.cells.size() + total_cells > options.max_cells) {
-            return Status::OutOfRange(
-                "bushy intermediate exceeded the memory budget");
-          }
-        }
+      // Morsel-parallel probe: each morsel fills a private chunk; chunks
+      // concatenate in morsel order, so the joined relation is the same
+      // for every pool size. The hash table and both input relations are
+      // only read.
+      const uint64_t num_probe = probe.NumRows();
+      const uint64_t num_morsels =
+          (num_probe + kProbeMorsel - 1) / kProbeMorsel;
+      std::vector<std::vector<NodeId>> chunks(num_morsels);
+      std::vector<uint64_t> chunk_matches(num_morsels, 0);
+      // Memory guard while workers run; the deterministic budget decision
+      // is re-made against the exact total after the merge.
+      std::atomic<uint64_t> cells_in_flight{total_cells};
+      std::atomic<bool> over_budget{false};
+      WF_RETURN_NOT_OK(morsels(
+          num_probe, kProbeMorsel, &over_budget, "bushy join",
+          [&](uint32_t, uint64_t begin, uint64_t end) {
+            const uint64_t m = begin / kProbeMorsel;
+            for (uint64_t r = begin; r < end; ++r) {
+              probe_one(r, chunks[m], chunk_matches[m]);
+            }
+            if (cells_in_flight.fetch_add(chunks[m].size(),
+                                          std::memory_order_relaxed) +
+                    chunks[m].size() >
+                options.max_cells) {
+              over_budget.store(true, std::memory_order_relaxed);
+            }
+          }));
+      uint64_t merged = 0;
+      for (const std::vector<NodeId>& chunk : chunks) merged += chunk.size();
+      if (over_budget.load(std::memory_order_relaxed) ||
+          merged + total_cells > options.max_cells) {
+        return Status::OutOfRange(
+            "bushy intermediate exceeded the memory budget");
+      }
+      out.cells.reserve(merged);
+      for (uint64_t m = 0; m < num_morsels; ++m) {
+        out.cells.insert(out.cells.end(), chunks[m].begin(),
+                         chunks[m].end());
+        stats.extensions += chunk_matches[m];
       }
       total_cells += out.cells.size();
     }
@@ -308,45 +287,27 @@ Result<DefactorizerStats> BushyExecutor::Emit(
     }
   };
 
-  if (parallel && result.NumRows() > kEmitMorsel) {
-    std::mutex sink_mu;
-    std::atomic<bool> stop{false};
-    const uint32_t workers = pool->num_threads();
-    std::vector<SinkShard> shards;
-    std::vector<std::vector<NodeId>> bindings(
-        workers, std::vector<NodeId>(query_->NumVars(), kInvalidNode));
-    shards.reserve(workers);
-    for (uint32_t w = 0; w < workers; ++w) {
-      shards.emplace_back(sink, &sink_mu, &stop);
-    }
-    ParallelForOptions pf;
-    pf.morsel_size = kEmitMorsel;
-    pf.deadline = options.deadline;
-    pf.stop = &stop;
-    pf.cancel = options.cancel;
-    pf.weight = options.weight;
-    const Status st = pool->ParallelFor(
-        result.NumRows(), pf,
-        [&](uint32_t worker, uint64_t begin, uint64_t end) {
-          for (uint64_t r = begin; r < end; ++r) {
-            fill_binding(result.Row(r), bindings[worker]);
-            if (!shards[worker].Emit(bindings[worker])) break;
-          }
-        });
-    if (st.IsCancelled()) return Status::Cancelled("bushy emit");
-    if (st.IsTimedOut()) return Status::TimedOut("bushy emit");
-    for (SinkShard& shard : shards) {
-      shard.Flush();
-      stats.emitted += shard.count();
-    }
-  } else {
-    std::vector<NodeId> binding(query_->NumVars(), kInvalidNode);
-    for (size_t r = 0; r < result.NumRows(); ++r) {
-      if (interrupt.Hit()) return interrupt.StatusFor("bushy emit");
-      fill_binding(result.Row(r), binding);
-      ++stats.emitted;
-      if (!sink->Emit(binding)) break;
-    }
+  std::mutex sink_mu;
+  std::atomic<bool> stop{false};
+  const uint32_t workers = pool->num_threads();
+  std::vector<SinkShard> shards;
+  std::vector<std::vector<NodeId>> bindings(
+      workers, std::vector<NodeId>(query_->NumVars(), kInvalidNode));
+  shards.reserve(workers);
+  for (uint32_t w = 0; w < workers; ++w) {
+    shards.emplace_back(sink, &sink_mu, &stop);
+  }
+  WF_RETURN_NOT_OK(morsels(
+      result.NumRows(), kEmitMorsel, &stop, "bushy emit",
+      [&](uint32_t worker, uint64_t begin, uint64_t end) {
+        for (uint64_t r = begin; r < end; ++r) {
+          fill_binding(result.Row(r), bindings[worker]);
+          if (!shards[worker].Emit(bindings[worker])) break;
+        }
+      }));
+  for (SinkShard& shard : shards) {
+    shard.Flush();
+    stats.emitted += shard.count();
   }
   return stats;
 }

@@ -20,11 +20,11 @@ struct BushyExecutorOptions {
   /// Intermediate-memory budget in binding cells (rows x width); exceeding
   /// it aborts with OutOfRange, mirroring the materializing baselines.
   uint64_t max_cells = 400ull << 20;
-  /// Worker pool (not owned). Null or single-threaded runs the exact
-  /// serial code path. Parallelism is over morsels of each hash join's
-  /// probe side (per-morsel row chunks concatenated in morsel order, so
-  /// every intermediate relation is bit-identical to the serial run) and
-  /// over the final emit scan.
+  /// Worker pool (not owned; null runs on InlinePool). Work is split
+  /// into morsels of each join's probe side or shared keys (per-morsel
+  /// row chunks concatenated in morsel order, so every intermediate
+  /// relation is the same for every pool size) and of the final emit
+  /// scan.
   ThreadPool* pool = nullptr;
   /// Optional cooperative cancellation (borrowed, may be null): polled on
   /// the same amortized cadence as the deadline; once set, execution
@@ -35,7 +35,8 @@ struct BushyExecutorOptions {
   uint32_t weight = 1;
 };
 
-/// Executes a BushyPlan over the answer graph: leaves scan AG edge sets,
+/// Executes a BushyPlan over the (frozen) answer graph: leaves scan AG
+/// edge sets,
 /// inner nodes hash-join their children on the shared variables, fully
 /// materializing each intermediate (that is what distinguishes the bushy
 /// plan space from the pipelined left-deep Defactorizer; the DP's job is

@@ -11,13 +11,10 @@ namespace wireframe {
 
 namespace {
 
-/// Endpoint-candidate items per morsel on the parallel chord paths. Each
-/// item expands into a partner scan (like a frontier node in regular edge
+/// Endpoint-candidate items per morsel on the chord paths. Each item
+/// expands into a partner scan (like a frontier node in regular edge
 /// extension), so morsels stay small to balance skewed degrees.
 constexpr uint64_t kChordMorsel = 128;
-
-/// Serial-path interrupt probes (deadline + cancel) run on this cadence.
-constexpr uint32_t kProbeStride = 4096;
 
 /// Sorts ascending and drops duplicates — the canonical form chord pair
 /// lists are kept in (see MaterializeChords).
@@ -64,7 +61,7 @@ void ForEachOrientedPair(const AnswerGraph& ag, uint32_t slot, VarId u,
 }
 
 /// Snapshots slot's live pairs reoriented so .first sits at var `u` —
-/// the indexable frontier the parallel chord join shards over.
+/// the indexable frontier the chord join shards over.
 std::vector<std::pair<NodeId, NodeId>> CollectOrientedPairs(
     const AnswerGraph& ag, uint32_t slot, VarId u) {
   std::vector<std::pair<NodeId, NodeId>> out;
@@ -129,16 +126,14 @@ Status ChordEvaluator::MaterializeChords(
   WF_CHECK(chord_slots_.size() == chordification_->chords.size())
       << "RegisterChordSlots must run first";
 
-  ThreadPool* pool = options.pool;
-  const bool pool_parallel = pool != nullptr && pool->num_threads() > 1;
+  ThreadPool* pool = options.pool != nullptr ? options.pool : InlinePool();
 
-  // Serial-path interrupt probe, amortized over kProbeStride partner
-  // scans; the parallel paths get the same checks per morsel from
-  // ParallelFor.
-  InterruptProbe probe(options.deadline, options.cancel, kProbeStride);
+  // Chord-barrier interrupt check; inside a chord ParallelFor checks
+  // cancel and deadline per morsel.
+  InterruptProbe probe(options.deadline, options.cancel);
 
-  // Parallel driver shared by the triangle join and the intersection
-  // pass: shards [0, n) into kChordMorsel morsels on the pool, where
+  // Driver shared by the triangle join and the intersection pass:
+  // shards [0, n) into kChordMorsel morsels on the pool, where
   // body(m, begin, end, walks) handles one whole morsel and charges its
   // retrievals to `walks`; per-morsel walk counts merge at the barrier.
   // Deadline/cancel surface as the corresponding non-OK status.
@@ -185,60 +180,33 @@ Status ChordEvaluator::MaterializeChords(
       const bool chord_straight = r.u == chord.u;
       if (first_triangle) {
         // Join side_uw ⋈ side_wv on the apex, sharded over side_uw's
-        // endpoint-candidate pairs like regular edge extension. Only the
-        // parallel path snapshots the frontier (sharding needs random
-        // access); the serial path streams it.
-        const uint64_t frontier_size = ag_->Set(r.uw_slot).Size();
-        if (pool_parallel && frontier_size > kChordMorsel) {
-          const std::vector<std::pair<NodeId, NodeId>> frontier =
-              CollectOrientedPairs(*ag_, r.uw_slot, r.u);
-          std::vector<std::vector<uint64_t>> found(
-              (frontier.size() + kChordMorsel - 1) / kChordMorsel);
-          WF_RETURN_NOT_OK(sharded(
-              frontier.size(), [&](uint64_t m, uint64_t begin, uint64_t end,
-                                   uint64_t& morsel_walks) {
-                for (uint64_t i = begin; i < end; ++i) {
-                  const auto [a, w] = frontier[i];
-                  ForEachPartner(
-                      *ag_, r.wv_slot, r.w, w, [&](NodeId b) {
-                        ++morsel_walks;
-                        found[m].push_back(chord_straight ? PackPair(a, b)
-                                                          : PackPair(b, a));
-                      });
-                }
-                // Dedup inside the morsel, so a skewed join holds
-                // duplicates only morsel-locally, never in the merge.
-                SortUnique(found[m]);
-              }));
-          size_t total = 0;
-          for (const std::vector<uint64_t>& chunk : found) {
-            total += chunk.size();
-          }
-          pairs.reserve(total);
-          for (const std::vector<uint64_t>& chunk : found) {
-            pairs.insert(pairs.end(), chunk.begin(), chunk.end());
-          }
-        } else {
-          // Duplicates are compacted whenever the buffer doubles, so the
-          // serial path also peaks at O(distinct + recent walks), not
-          // O(total walks). The probe is sticky, so the visitor is cheap
-          // once interrupted.
-          size_t next_compact = 1024;
-          ForEachOrientedPair(*ag_, r.uw_slot, r.u, [&](NodeId a, NodeId w) {
-            if (probe.Hit()) return;
-            ForEachPartner(*ag_, r.wv_slot, r.w, w, [&](NodeId b) {
-              ++*walks;
-              pairs.push_back(chord_straight ? PackPair(a, b)
-                                             : PackPair(b, a));
-            });
-            if (pairs.size() >= next_compact) {
-              SortUnique(pairs);
-              next_compact = std::max<size_t>(1024, pairs.size() * 2);
-            }
-          });
-          if (probe.triggered()) {
-            return probe.StatusFor("chord materialization");
-          }
+        // endpoint-candidate pairs like regular edge extension.
+        const std::vector<std::pair<NodeId, NodeId>> frontier =
+            CollectOrientedPairs(*ag_, r.uw_slot, r.u);
+        std::vector<std::vector<uint64_t>> found(
+            (frontier.size() + kChordMorsel - 1) / kChordMorsel);
+        WF_RETURN_NOT_OK(sharded(
+            frontier.size(), [&](uint64_t m, uint64_t begin, uint64_t end,
+                                 uint64_t& morsel_walks) {
+              for (uint64_t i = begin; i < end; ++i) {
+                const auto [a, w] = frontier[i];
+                ForEachPartner(*ag_, r.wv_slot, r.w, w, [&](NodeId b) {
+                  ++morsel_walks;
+                  found[m].push_back(chord_straight ? PackPair(a, b)
+                                                    : PackPair(b, a));
+                });
+              }
+              // Dedup inside the morsel, so a skewed join holds
+              // duplicates only morsel-locally, never in the merge.
+              SortUnique(found[m]);
+            }));
+        size_t total = 0;
+        for (const std::vector<uint64_t>& chunk : found) {
+          total += chunk.size();
+        }
+        pairs.reserve(total);
+        for (const std::vector<uint64_t>& chunk : found) {
+          pairs.insert(pairs.end(), chunk.begin(), chunk.end());
         }
         // Canonicalize: different (a,w) frontier items can produce the
         // same chord pair, so dedup; ascending order fixes the insertion
@@ -296,22 +264,14 @@ Status ChordEvaluator::MaterializeChords(
           }
           keep[i] = supported ? 1 : 0;
         };
-        if (pool_parallel && pairs.size() > kChordMorsel) {
-          WF_RETURN_NOT_OK(sharded(
-              pairs.size(), [&](uint64_t, uint64_t begin, uint64_t end,
-                                uint64_t& morsel_walks) {
-                PartnerScratch scratch;
-                for (uint64_t i = begin; i < end; ++i) {
-                  support_one(i, scratch, morsel_walks);
-                }
-              }));
-        } else {
-          PartnerScratch scratch;
-          for (uint64_t i = 0; i < pairs.size(); ++i) {
-            if (probe.Hit()) return probe.StatusFor("chord materialization");
-            support_one(i, scratch, *walks);
-          }
-        }
+        WF_RETURN_NOT_OK(sharded(
+            pairs.size(), [&](uint64_t, uint64_t begin, uint64_t end,
+                              uint64_t& morsel_walks) {
+              PartnerScratch scratch;
+              for (uint64_t i = begin; i < end; ++i) {
+                support_one(i, scratch, morsel_walks);
+              }
+            }));
         // In-order compaction preserves the canonical ascending order.
         size_t out = 0;
         for (size_t i = 0; i < pairs.size(); ++i) {
@@ -334,7 +294,7 @@ Status ChordEvaluator::MaterializeChords(
     ag_->MarkMaterialized(slot);
     // Chords constrain node sets too: burn back endpoints that lost all
     // support (both endpoints were necessarily touched already). Burnback
-    // cascades serially at this barrier, as in regular edge extension.
+    // runs at this barrier, as in regular edge extension.
     burnback_->PruneAfterExtension(slot, /*src_was_touched=*/true,
                                    /*dst_was_touched=*/true);
     WF_RETURN_NOT_OK(probe.CheckNow("chord materialization"));

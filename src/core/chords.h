@@ -17,12 +17,11 @@ namespace wireframe {
 /// Knobs of one MaterializeChords run.
 struct ChordMaterializeOptions {
   Deadline deadline;
-  /// Worker pool (borrowed, may be null): each chord's triangle joins and
-  /// intersections shard over the triangle's endpoint-candidate pairs,
-  /// exactly like regular edge extension. Null or single-threaded runs
-  /// the serial path; either way the materialized chord sets are
-  /// identical (pairs are canonicalized into ascending packed order
-  /// before insertion, so the AG is thread-count-invariant).
+  /// Worker pool (borrowed; null runs on InlinePool): each chord's
+  /// triangle joins and intersections shard over the triangle's
+  /// endpoint-candidate pairs, exactly like regular edge extension. The
+  /// materialized chord sets are identical for every pool size (pairs are
+  /// canonicalized into ascending packed order before insertion).
   ThreadPool* pool = nullptr;
   /// Cooperative cancellation, polled amortized like the deadline.
   std::atomic<bool>* cancel = nullptr;
@@ -54,8 +53,7 @@ class ChordEvaluator {
   /// Materializes every chord, innermost (DP-tree leaves) first, applying
   /// node burnback after each. Requires all query edges materialized.
   /// Adds the pairs it retrieves to `walks`. Deadline expiry and
-  /// cancellation are polled amortized (per morsel on the parallel path,
-  /// every few thousand probes on the serial one).
+  /// cancellation are polled per morsel and after each chord.
   Status MaterializeChords(const ChordMaterializeOptions& options,
                            uint64_t* walks);
 

@@ -13,9 +13,9 @@ namespace wireframe {
 
 namespace {
 
-/// First-edge pairs per morsel on the parallel path. Each pair roots a
-/// whole enumeration subtree, so morsels are small to balance skew; the
-/// dispatch cost is one fetch_add per morsel.
+/// First-edge pairs per morsel. Each pair roots a whole enumeration
+/// subtree, so morsels are small to balance skew; the dispatch cost is
+/// one fetch_add per morsel.
 constexpr uint64_t kRootMorsel = 64;
 
 /// Rows per output batch. Every emission is written into the context's
@@ -23,11 +23,11 @@ constexpr uint64_t kRootMorsel = 64;
 /// a declining sink can leave at most this many rows made but unseen.
 constexpr size_t kBatchRows = 256;
 
-/// One chord evaluated by span intersection: at its check depth exactly
-/// one endpoint is newly bound, so the chord constrains the extension
-/// candidates to the chord-neighbors of the already-bound endpoint — a
-/// sorted span fetched once per parent binding (the hoisted form of
-/// probing Contains per candidate).
+/// One chord evaluated by span intersection: at its check depth (any
+/// depth but 0) exactly one endpoint is newly bound, so the chord
+/// constrains the extension candidates to the chord-neighbors of the
+/// already-bound endpoint — a sorted span fetched once per parent
+/// binding (the hoisted form of probing Contains per candidate).
 struct IntersectChord {
   uint32_t slot;
   /// The endpoint bound before this depth; its binding keys the span.
@@ -37,37 +37,20 @@ struct IntersectChord {
   bool fwd;
 };
 
-/// Per-depth chord strategy, precomputed from the join order (the bound
-/// set at each depth is static, so orientation never needs a runtime
-/// probe).
-struct DepthChords {
-  std::vector<IntersectChord> isect;
-  /// True iff every chord checked at this depth is in `isect` — the
-  /// gate for the intersection fast path. (A depth mixing in a chord
-  /// whose endpoints both bind at depth 0 falls back to Contains.)
-  bool all_isect = false;
-};
-
 /// Recursive enumeration state shared across frames.
 struct EmitContext {
   const QueryGraph* query;
   const AnswerGraph* ag;
   const std::vector<uint32_t>* order;
-  /// chord_checks[d]: chord slots whose endpoints are both bound once the
-  /// edge at depth d has been joined.
-  const std::vector<std::vector<uint32_t>>* chord_checks;
-  /// depth_chords[d]: the intersection form of chord_checks[d] (frozen
-  /// AGs only; empty vector when the AG is unfrozen or chords are off).
-  const std::vector<DepthChords>* depth_chords;
+  /// depth_chords[d]: the chords that become checkable at depth d >= 1,
+  /// in intersection form (precomputed from the join order: the bound
+  /// set at each depth is static, so orientation needs no runtime probe).
+  const std::vector<std::vector<IntersectChord>>* depth_chords;
   Sink* sink;
   InterruptProbe probe;
   std::vector<NodeId> binding;
   DefactorizerStats stats;
   bool stop = false;  // sink asked to stop (not an error)
-  /// True once the depth-0 chords were already applied to the root list
-  /// as a batched prefilter (parallel path); the per-root loop then
-  /// skips ChordsAccept(_, 0).
-  bool roots_prefiltered = false;
   /// Ping-pong intersection scratch, indexed by depth: a frame only
   /// touches its own depth's buffers, so recursion below it is safe.
   std::vector<std::vector<NodeId>> isect_a;
@@ -126,37 +109,22 @@ struct EmitContext {
   }
 };
 
-/// True iff every chord becoming checkable at this depth accepts the
-/// current binding.
-bool ChordsAccept(EmitContext& ctx, size_t depth) {
-  for (uint32_t slot : (*ctx.chord_checks)[depth]) {
-    const NodeId u = ctx.binding[ctx.ag->SrcVar(slot)];
-    const NodeId v = ctx.binding[ctx.ag->DstVar(slot)];
-    if (!ctx.ag->Set(slot).Contains(u, v)) {
-      ++ctx.stats.chord_rejections;
-      return false;
-    }
-  }
-  return true;
-}
-
 void EmitStep(EmitContext& ctx, size_t depth);
 
-/// The frozen fast path for a depth whose chords all intersect: instead
-/// of scanning `ext` and probing every chord per candidate, intersect
-/// the extension span with each chord span (both sorted CSR spans) and
-/// recurse only over the survivors — or, at the last depth, write them
-/// into the output batch as one span. Accounting matches the scan+probe
-/// path exactly: one extension per span candidate, one rejection per
-/// candidate failing any chord — so stats stay invariant across the two
-/// forms (and across dispatch and thread count).
+/// A depth with chords to check: instead of scanning `ext` and probing
+/// every chord per candidate, intersect the extension span with each
+/// chord span (both sorted CSR spans) and recurse only over the
+/// survivors — or, at the last depth, write them into the output batch
+/// as one span. Accounting counts what per-candidate probing would: one
+/// extension per span candidate, one rejection per candidate failing any
+/// chord — so stats are invariant across kernel dispatch and thread
+/// count.
 void IntersectAndRecurse(EmitContext& ctx, size_t depth,
                          std::span<const NodeId> ext, VarId free_var) {
-  const DepthChords& dc = (*ctx.depth_chords)[depth];
   ctx.stats.extensions += ext.size();
   std::span<const NodeId> current = ext;
   bool into_a = true;
-  for (const IntersectChord& chord : dc.isect) {
+  for (const IntersectChord& chord : (*ctx.depth_chords)[depth]) {
     if (current.empty()) break;
     const PairSet& cset = ctx.ag->Set(chord.slot);
     const NodeId bound = ctx.binding[chord.bound_var];
@@ -201,91 +169,36 @@ void EmitStep(EmitContext& ctx, size_t depth) {
   if (ctx.DeadlineHit()) return;
 
   if (src_bound && dst_bound) {
+    // No variable binds here, so no chord becomes checkable either.
     ++ctx.stats.extensions;
-    if (set.Contains(src_slot, dst_slot) && ChordsAccept(ctx, depth)) {
-      EmitStep(ctx, depth + 1);
-    }
+    if (set.Contains(src_slot, dst_slot)) EmitStep(ctx, depth + 1);
     return;
   }
-  if (src_bound || dst_bound) {
-    const VarId free_var = src_bound ? qe.dst : qe.src;
-    const NodeId key = src_bound ? src_slot : dst_slot;
-    if (set.IsFrozen()) {
-      const std::span<const NodeId> ext =
-          src_bound ? set.FwdNeighbors(key) : set.BwdNeighbors(key);
-      if (!ctx.depth_chords->empty() &&
-          (*ctx.depth_chords)[depth].all_isect) {
-        IntersectAndRecurse(ctx, depth, ext, free_var);
-        return;
-      }
-      if (depth + 1 == ctx.order->size() &&
-          (*ctx.chord_checks)[depth].empty()) {
-        // Last depth, nothing to check: the span is the rows.
-        ctx.stats.extensions += ext.size();
-        ctx.EmitSpan(ext, free_var);
-        return;
-      }
-    }
-    NodeId& free_slot = ctx.binding[free_var];
-    auto extend = [&](NodeId candidate) {
-      if (ctx.stop) return;
-      ++ctx.stats.extensions;
-      free_slot = candidate;
-      if (ChordsAccept(ctx, depth)) EmitStep(ctx, depth + 1);
-      free_slot = kInvalidNode;
-    };
-    if (src_bound) {
-      set.ForEachFwd(key, extend);
-    } else {
-      set.ForEachBwd(key, extend);
-    }
+  // The root partition binds depth 0, and the plan is connected, so
+  // every later edge has at least one endpoint bound.
+  WF_DCHECK(src_bound || dst_bound) << "disconnected embedding plan";
+  const VarId free_var = src_bound ? qe.dst : qe.src;
+  const NodeId key = src_bound ? src_slot : dst_slot;
+  const std::span<const NodeId> ext =
+      src_bound ? set.FwdNeighbors(key) : set.BwdNeighbors(key);
+  if (!(*ctx.depth_chords)[depth].empty()) {
+    IntersectAndRecurse(ctx, depth, ext, free_var);
     return;
   }
-  // Neither endpoint bound: only legal for the first edge of a connected
-  // plan; enumerate the whole edge set.
-  WF_DCHECK(depth == 0) << "disconnected embedding plan";
-  set.ForEachPair([&](NodeId u, NodeId v) {
-    if (ctx.stop) return;
-    ++ctx.stats.extensions;
-    src_slot = u;
-    dst_slot = v;
-    if (ChordsAccept(ctx, depth)) EmitStep(ctx, depth + 1);
-    src_slot = kInvalidNode;
-    dst_slot = kInvalidNode;
-  });
-}
-
-/// Builds the per-depth intersection strategy from the static bound-set
-/// progression of the join order. Only meaningful on a frozen AG (the
-/// spans the kernels need are the CSR form); returns empty otherwise and
-/// every depth falls back to the probe path.
-std::vector<DepthChords> PlanDepthChords(
-    const QueryGraph& query, const AnswerGraph& ag,
-    const std::vector<uint32_t>& order,
-    const std::vector<std::vector<uint32_t>>& chord_checks) {
-  if (!ag.IsFrozen()) return {};
-  std::vector<DepthChords> plan(order.size());
-  std::vector<bool> bound(query.NumVars(), false);
-  for (size_t d = 0; d < order.size(); ++d) {
-    DepthChords& dc = plan[d];
-    for (uint32_t slot : chord_checks[d]) {
-      const VarId cu = ag.SrcVar(slot);
-      const VarId cv = ag.DstVar(slot);
-      // Endpoints not bound before depth d bind at depth d; a chord with
-      // exactly one new endpoint constrains the edge's free variable.
-      const bool cu_new = !bound[cu];
-      const bool cv_new = !bound[cv];
-      if (cu_new != cv_new) {
-        dc.isect.push_back({slot, cu_new ? cv : cu, /*fwd=*/cv_new});
-      }
-    }
-    dc.all_isect = !chord_checks[d].empty() &&
-                   dc.isect.size() == chord_checks[d].size();
-    const QueryEdge& qe = query.Edge(order[d]);
-    bound[qe.src] = true;
-    bound[qe.dst] = true;
+  if (depth + 1 == ctx.order->size()) {
+    // Last depth, nothing to check: the span is the rows.
+    ctx.stats.extensions += ext.size();
+    ctx.EmitSpan(ext, free_var);
+    return;
   }
-  return plan;
+  NodeId& free_slot = ctx.binding[free_var];
+  for (const NodeId candidate : ext) {
+    if (ctx.stop) break;
+    ++ctx.stats.extensions;
+    free_slot = candidate;
+    EmitStep(ctx, depth + 1);
+  }
+  free_slot = kInvalidNode;
 }
 
 }  // namespace
@@ -295,36 +208,50 @@ Result<DefactorizerStats> Defactorizer::Emit(
     const DefactorizerOptions& options) const {
   WF_CHECK(plan.join_order.size() == query_->NumEdges())
       << "embedding plan must cover every query edge";
+  WF_CHECK(!plan.join_order.empty()) << "embedding plan has no edges";
+  WF_CHECK(ag_->IsFrozen()) << "phase 2 requires a frozen AnswerGraph";
 
-  // Precompute which materialized chords become checkable at each depth:
-  // the first step after which both endpoint variables are bound.
-  std::vector<std::vector<uint32_t>> chord_checks(plan.join_order.size());
+  // Each materialized chord is checked at the first depth after which
+  // both its endpoints are bound. At depth 0 it filters the root pairs;
+  // at any later depth exactly one endpoint — the edge's free variable —
+  // is new (the plan is connected), so the chord becomes a span
+  // intersection over the extension candidates.
+  const std::vector<uint32_t>& order = plan.join_order;
+  std::vector<uint32_t> root_chords;
+  std::vector<std::vector<IntersectChord>> depth_chords(order.size());
   if (options.use_chords) {
     std::vector<bool> bound(query_->NumVars(), false);
-    for (size_t d = 0; d < plan.join_order.size(); ++d) {
-      const QueryEdge& qe = query_->Edge(plan.join_order[d]);
-      bound[qe.src] = true;
-      bound[qe.dst] = true;
+    for (size_t d = 0; d < order.size(); ++d) {
+      const QueryEdge& qe = query_->Edge(order[d]);
+      auto bound_after = [&](VarId v) {
+        return bound[v] || v == qe.src || v == qe.dst;
+      };
       for (uint32_t slot = ag_->NumQueryEdges(); slot < ag_->NumEdgeSets();
            ++slot) {
         if (!ag_->IsMaterialized(slot)) continue;
-        if (!bound[ag_->SrcVar(slot)] || !bound[ag_->DstVar(slot)]) continue;
-        bool already = false;
-        for (size_t earlier = 0; earlier < d && !already; ++earlier) {
-          for (uint32_t s : chord_checks[earlier]) already |= s == slot;
+        const VarId cu = ag_->SrcVar(slot);
+        const VarId cv = ag_->DstVar(slot);
+        if (!bound_after(cu) || !bound_after(cv) || (bound[cu] && bound[cv])) {
+          continue;  // not checkable yet, or checked at an earlier depth
         }
-        if (!already) chord_checks[d].push_back(slot);
+        if (d == 0) {
+          root_chords.push_back(slot);
+          continue;
+        }
+        const bool cu_new = !bound[cu];
+        const bool cv_new = !bound[cv];
+        WF_DCHECK(cu_new != cv_new) << "disconnected embedding plan";
+        depth_chords[d].push_back({slot, cu_new ? cv : cu, /*fwd=*/cv_new});
       }
+      bound[qe.src] = true;
+      bound[qe.dst] = true;
     }
   }
-  const std::vector<DepthChords> depth_chords =
-      PlanDepthChords(*query_, *ag_, plan.join_order, chord_checks);
 
   auto init_context = [&](EmitContext& ctx) {
     ctx.query = query_;
     ctx.ag = ag_;
     ctx.order = &plan.join_order;
-    ctx.chord_checks = &chord_checks;
     ctx.depth_chords = &depth_chords;
     ctx.probe = InterruptProbe(options.deadline, options.cancel);
     ctx.binding.assign(query_->NumVars(), kInvalidNode);
@@ -333,128 +260,109 @@ Result<DefactorizerStats> Defactorizer::Emit(
     ctx.batch.resize(kBatchRows * query_->NumVars());
   };
 
-  ThreadPool* pool = options.pool;
-  if (pool != nullptr && pool->num_threads() > 1 &&
-      !plan.join_order.empty()) {
-    // Parallel enumeration: partition the first edge's pairs; each worker
-    // runs the same recursive EmitStep over its own context from depth 1,
-    // draining embeddings through a private SinkShard.
-    const uint32_t e0 = plan.join_order[0];
-    const QueryEdge& qe0 = query_->Edge(e0);
-    const PairSet& first = ag_->Set(e0);
-    std::vector<std::pair<NodeId, NodeId>> roots;
-    roots.reserve(first.Size());
-    first.ForEachPair([&](NodeId u, NodeId v) { roots.emplace_back(u, v); });
+  // Partition the first edge's pairs; each worker runs the recursive
+  // EmitStep over its own context from depth 1, draining rows through a
+  // private SinkShard.
+  ThreadPool* pool = options.pool != nullptr ? options.pool : InlinePool();
+  const uint32_t e0 = plan.join_order[0];
+  const QueryEdge& qe0 = query_->Edge(e0);
+  const PairSet& first = ag_->Set(e0);
+  std::vector<std::pair<NodeId, NodeId>> roots;
+  roots.reserve(first.Size());
+  first.ForEachPair([&](NodeId u, NodeId v) { roots.emplace_back(u, v); });
 
-    // Depth-0 chords (both endpoints bound by the first edge) applied to
-    // the whole sorted root list as one batched probe per chord —
-    // Csr::ContainsMany walks each span monotonically with prefetch
-    // instead of binary-searching per root. Accounting mirrors the
-    // per-root loop: one extension charged per discarded root here plus
-    // one per surviving root below; one rejection per discarded root.
-    uint64_t prefilter_extensions = 0;
-    uint64_t prefilter_rejections = 0;
-    bool roots_prefiltered = false;
-    if (ag_->IsFrozen() && !chord_checks.empty() &&
-        !chord_checks[0].empty()) {
-      roots_prefiltered = true;
-      std::vector<NodeId> keys(roots.size());
-      std::vector<NodeId> vals(roots.size());
-      std::vector<uint8_t> hits(roots.size());
-      for (uint32_t slot : chord_checks[0]) {
-        // Depth-0 chords connect exactly the first edge's variables.
-        const bool straight = ag_->SrcVar(slot) == qe0.src;
-        WF_DCHECK(straight ? (ag_->SrcVar(slot) == qe0.src &&
-                              ag_->DstVar(slot) == qe0.dst)
-                           : (ag_->SrcVar(slot) == qe0.dst &&
-                              ag_->DstVar(slot) == qe0.src));
-        for (size_t i = 0; i < roots.size(); ++i) {
-          keys[i] = straight ? roots[i].first : roots[i].second;
-          vals[i] = straight ? roots[i].second : roots[i].first;
-        }
-        const Csr& csr = ag_->Set(slot).FwdCsr();
-        csr.ContainsMany(std::span<const NodeId>(keys).first(roots.size()),
-                         std::span<const NodeId>(vals).first(roots.size()),
-                         hits.data());
-        size_t kept = 0;
-        for (size_t i = 0; i < roots.size(); ++i) {
-          if (hits[i] != 0) {
-            roots[kept++] = roots[i];
-          } else {
-            ++prefilter_extensions;
-            ++prefilter_rejections;
-          }
-        }
-        roots.resize(kept);
-        keys.resize(kept);
-        vals.resize(kept);
-        hits.resize(kept);
+  // Depth-0 chords (both endpoints bound by the first edge) applied to
+  // the whole sorted root list as one batched probe per chord —
+  // Csr::ContainsMany walks each span monotonically with prefetch
+  // instead of binary-searching per root. Accounting: one extension per
+  // root (charged here for discarded roots, per surviving root below)
+  // and one rejection per discarded root.
+  uint64_t prefilter_rejections = 0;
+  if (!root_chords.empty()) {
+    std::vector<NodeId> keys(roots.size());
+    std::vector<NodeId> vals(roots.size());
+    std::vector<uint8_t> hits(roots.size());
+    for (uint32_t slot : root_chords) {
+      // Depth-0 chords connect exactly the first edge's variables.
+      const bool straight = ag_->SrcVar(slot) == qe0.src;
+      WF_DCHECK(straight ? (ag_->SrcVar(slot) == qe0.src &&
+                            ag_->DstVar(slot) == qe0.dst)
+                         : (ag_->SrcVar(slot) == qe0.dst &&
+                            ag_->DstVar(slot) == qe0.src));
+      for (size_t i = 0; i < roots.size(); ++i) {
+        keys[i] = straight ? roots[i].first : roots[i].second;
+        vals[i] = straight ? roots[i].second : roots[i].first;
       }
+      const Csr& csr = ag_->Set(slot).FwdCsr();
+      csr.ContainsMany(std::span<const NodeId>(keys).first(roots.size()),
+                       std::span<const NodeId>(vals).first(roots.size()),
+                       hits.data());
+      size_t kept = 0;
+      for (size_t i = 0; i < roots.size(); ++i) {
+        if (hits[i] != 0) {
+          roots[kept++] = roots[i];
+        } else {
+          ++prefilter_rejections;
+        }
+      }
+      roots.resize(kept);
+      keys.resize(kept);
+      vals.resize(kept);
+      hits.resize(kept);
     }
-
-    std::mutex sink_mu;
-    std::atomic<bool> stop{false};
-    const uint32_t workers = pool->num_threads();
-    std::vector<EmitContext> ctxs(workers);
-    std::vector<SinkShard> shards;
-    shards.reserve(workers);
-    for (uint32_t w = 0; w < workers; ++w) {
-      shards.emplace_back(sink, &sink_mu, &stop);
-      init_context(ctxs[w]);
-      ctxs[w].roots_prefiltered = roots_prefiltered;
-    }
-    for (uint32_t w = 0; w < workers; ++w) ctxs[w].sink = &shards[w];
-
-    ParallelForOptions pf;
-    pf.morsel_size = kRootMorsel;
-    pf.deadline = options.deadline;
-    pf.stop = &stop;
-    pf.cancel = options.cancel;
-    pf.weight = options.weight;
-    const Status st = pool->ParallelFor(
-        roots.size(), pf,
-        [&](uint32_t worker, uint64_t begin, uint64_t end) {
-          EmitContext& ctx = ctxs[worker];
-          for (uint64_t i = begin; i < end && !ctx.stop; ++i) {
-            const auto [u, v] = roots[i];
-            ++ctx.stats.extensions;
-            ctx.binding[qe0.src] = u;
-            ctx.binding[qe0.dst] = v;
-            if (ctx.roots_prefiltered || ChordsAccept(ctx, 0)) {
-              EmitStep(ctx, 1);
-            }
-            ctx.binding[qe0.src] = kInvalidNode;
-            ctx.binding[qe0.dst] = kInvalidNode;
-          }
-        });
-
-    bool timed_out = st.IsTimedOut();
-    bool cancelled = st.IsCancelled();
-    for (const EmitContext& ctx : ctxs) {
-      timed_out |= ctx.probe.timed_out();
-      cancelled |= ctx.probe.cancelled();
-    }
-    if (cancelled) return Status::Cancelled("embedding generation");
-    if (timed_out) return Status::TimedOut("embedding generation");
-    DefactorizerStats stats;
-    stats.extensions = prefilter_extensions;
-    stats.chord_rejections = prefilter_rejections;
-    for (EmitContext& ctx : ctxs) {
-      ctx.Flush();  // tail batch; a no-op once the shared stop is up
-      stats.emitted += ctx.stats.emitted;
-      stats.extensions += ctx.stats.extensions;
-      stats.chord_rejections += ctx.stats.chord_rejections;
-    }
-    return stats;
   }
 
-  EmitContext ctx;
-  init_context(ctx);
-  ctx.sink = sink;
-  EmitStep(ctx, 0);
-  WF_RETURN_NOT_OK(ctx.probe.StatusFor("embedding generation"));
-  ctx.Flush();
-  return ctx.stats;
+  std::mutex sink_mu;
+  std::atomic<bool> stop{false};
+  const uint32_t workers = pool->num_threads();
+  std::vector<EmitContext> ctxs(workers);
+  std::vector<SinkShard> shards;
+  shards.reserve(workers);
+  for (uint32_t w = 0; w < workers; ++w) {
+    shards.emplace_back(sink, &sink_mu, &stop);
+    init_context(ctxs[w]);
+  }
+  for (uint32_t w = 0; w < workers; ++w) ctxs[w].sink = &shards[w];
+
+  ParallelForOptions pf;
+  pf.morsel_size = kRootMorsel;
+  pf.deadline = options.deadline;
+  pf.stop = &stop;
+  pf.cancel = options.cancel;
+  pf.weight = options.weight;
+  const Status st = pool->ParallelFor(
+      roots.size(), pf,
+      [&](uint32_t worker, uint64_t begin, uint64_t end) {
+        EmitContext& ctx = ctxs[worker];
+        for (uint64_t i = begin; i < end && !ctx.stop; ++i) {
+          const auto [u, v] = roots[i];
+          ++ctx.stats.extensions;
+          ctx.binding[qe0.src] = u;
+          ctx.binding[qe0.dst] = v;
+          EmitStep(ctx, 1);
+          ctx.binding[qe0.src] = kInvalidNode;
+          ctx.binding[qe0.dst] = kInvalidNode;
+        }
+      });
+
+  bool timed_out = st.IsTimedOut();
+  bool cancelled = st.IsCancelled();
+  for (const EmitContext& ctx : ctxs) {
+    timed_out |= ctx.probe.timed_out();
+    cancelled |= ctx.probe.cancelled();
+  }
+  if (cancelled) return Status::Cancelled("embedding generation");
+  if (timed_out) return Status::TimedOut("embedding generation");
+  DefactorizerStats stats;
+  stats.extensions = prefilter_rejections;
+  stats.chord_rejections = prefilter_rejections;
+  for (EmitContext& ctx : ctxs) {
+    ctx.Flush();  // tail batch; a no-op once the shared stop is up
+    stats.emitted += ctx.stats.emitted;
+    stats.extensions += ctx.stats.extensions;
+    stats.chord_rejections += ctx.stats.chord_rejections;
+  }
+  return stats;
 }
 
 }  // namespace wireframe

@@ -16,12 +16,12 @@ namespace wireframe {
 /// Phase-2 options.
 struct DefactorizerOptions {
   Deadline deadline;
-  /// Worker pool for parallel enumeration (not owned). Null or
-  /// single-threaded runs the exact serial code path. Parallelism is over
-  /// partitions of the first join edge's AG pairs: each worker owns a
-  /// full recursive enumeration context and a SinkShard, so the shared
-  /// sink is only locked at batch granularity. The embedding multiset is
-  /// identical for every thread count; only emission order differs.
+  /// Worker pool for enumeration (not owned; null runs on InlinePool).
+  /// Work is partitioned over the first join edge's AG pairs: each worker
+  /// owns a full recursive enumeration context and a SinkShard, so the
+  /// shared sink is only locked at batch granularity. The embedding
+  /// multiset is identical for every pool size; only emission order
+  /// differs across workers.
   ThreadPool* pool = nullptr;
   /// Optional cooperative cancellation (borrowed, may be null): polled on
   /// the same amortized cadence as the deadline; once set, enumeration
@@ -64,27 +64,24 @@ struct DefactorizerStats {
 /// branches die; the embedding planner's join order and the chord filters
 /// minimize that.
 ///
-/// Read path: every extension is a ForEachFwd/ForEachBwd scan and every
-/// chord filter a Contains probe on the AG's pair sets. The engine
-/// freezes the AG before phase 2 (WireframeOptions::freeze_ag), so these
-/// resolve against immutable CSR spans (util/csr.h) — direct-indexed
-/// offset lookup plus a cache-linear sorted span — instead of the
-/// build-form hash tables; an unfrozen AG (freeze_ag off, or a directly
-/// constructed one in tests) takes the hash path with identical results.
+/// Read path: the AG must be frozen (AnswerGraph::Freeze). The first
+/// join edge's pairs are the roots, filtered by the chords both of whose
+/// endpoints it binds; every later extension is a FwdNeighbors /
+/// BwdNeighbors span of the CSR form (util/csr.h), intersected with the
+/// spans of the chords that become checkable at that depth.
 ///
 /// Output path: every embedding is written as one row into a fixed-size
 /// row-major batch owned by the enumeration context, and the sink gets
-/// whole batches through Sink::EmitBatch — on the parallel path through
-/// the worker's SinkShard, one lock acquisition per batch. At the last
-/// join depth with one free endpoint the candidate span (the frozen
-/// FwdNeighbors/BwdNeighbors span, or its chord-intersected survivors)
-/// goes into the batch directly, with no per-candidate recursion. Both
-/// paths flush the tail batch at the end. A declined batch stops the run;
-/// rows already made into a batch past the decline are dropped, so at
-/// most one batch of extra rows is ever produced per enumeration
-/// context. Stats: `emitted` counts the rows the sink consumed;
-/// `extensions` and `chord_rejections` count exactly what per-candidate
-/// extension would, for every thread count.
+/// whole batches through Sink::EmitBatch, via the worker's SinkShard —
+/// one lock acquisition per batch. At the last join depth the candidate
+/// span (or its chord-intersected survivors) goes into the batch
+/// directly, with no per-candidate recursion. Each context flushes its
+/// tail batch at the end. A declined batch stops the run; rows already
+/// made into a batch past the decline are dropped, so at most one batch
+/// of extra rows is ever produced per enumeration context. Stats:
+/// `emitted` counts the rows the sink consumed; `extensions` and
+/// `chord_rejections` count exactly what per-candidate extension would,
+/// for every thread count.
 class Defactorizer {
  public:
   Defactorizer(const QueryGraph& query, const AnswerGraph& ag)

@@ -14,18 +14,14 @@ namespace wireframe {
 
 namespace {
 
-/// Extension probes check the deadline on this cadence to stay cheap.
-constexpr uint32_t kDeadlineStride = 4096;
-
 /// Frontier items (candidate nodes, or distinct subjects on a cold
-/// start) per morsel during parallel extension. Each item expands into a
+/// start) per morsel during edge extension. Each item expands into a
 /// full neighbor scan, so morsels stay small enough to balance skewed
 /// degree distributions.
 constexpr uint64_t kFrontierMorsel = 256;
 
-/// Snapshots the candidate set of `v` (in ForEachCandidate order, which
-/// the parallel path must preserve to keep insertion order identical to
-/// the serial path).
+/// Snapshots the candidate set of `v` in ForEachCandidate order (the
+/// frontier order that fixes the level's insertion order).
 std::vector<NodeId> CollectCandidates(const AnswerGraph& ag, VarId v) {
   std::vector<NodeId> out;
   ag.ForEachCandidate(v, [&](NodeId c) { out.push_back(c); });
@@ -45,8 +41,7 @@ Result<GeneratorResult> AgGenerator::Generate(
   result.ag = std::make_unique<AnswerGraph>(query);
   AnswerGraph& ag = *result.ag;
 
-  ThreadPool* pool = options.pool;
-  const bool parallel = pool != nullptr && pool->num_threads() > 1;
+  ThreadPool* pool = options.pool != nullptr ? options.pool : InlinePool();
 
   // Burnback drains its cascades on the same pool (partitioned worklists
   // with ownership by variable) once a seed list crosses the threshold.
@@ -69,16 +64,14 @@ Result<GeneratorResult> AgGenerator::Generate(
     chord_eval.RegisterChordSlots();
   }
 
-  // Serial-path interrupt probe (cancel + deadline), amortized over
-  // kDeadlineStride items; the parallel paths get the same checks per
-  // morsel from ParallelFor.
-  InterruptProbe probe(options.deadline, options.cancel, kDeadlineStride);
+  // Level-barrier interrupt check (cancel + deadline); inside a level
+  // ParallelFor checks both per morsel.
+  InterruptProbe probe(options.deadline, options.cancel);
 
   // Lookahead filter support: for a node landing on a fresh variable v
   // via edge e, every other not-yet-materialized query edge incident to v
   // must have at least one matching data edge at that node. `walks` is
-  // the charge account of the calling worker (the shard's counter on the
-  // parallel path, result.edge_walks on the serial one).
+  // the charge account of the calling morsel's shard.
   std::vector<bool> query_edge_done(query.NumEdges(), false);
   auto passes_lookahead = [&](VarId v, NodeId node, uint32_t via_edge,
                               uint64_t& walks) -> bool {
@@ -97,34 +90,6 @@ Result<GeneratorResult> AgGenerator::Generate(
     return true;
   };
 
-  // Parallel level driver: runs body(i, shard) over [0, n) in morsels,
-  // each morsel filling a private PairSetShard, then merges the shards
-  // into `set` in morsel order. The body only reads shared state (store,
-  // AG sets of earlier levels); the merge at the barrier is the only
-  // writer of `set`. Deadline expiry and cancellation surface as the
-  // corresponding non-OK status, in which case nothing is merged.
-  auto sharded_extend = [&](uint64_t n, uint64_t morsel, PairSet& set,
-                            auto&& body) -> Status {
-    const uint64_t num_morsels = n == 0 ? 0 : (n + morsel - 1) / morsel;
-    std::vector<PairSetShard> shards(num_morsels);
-    ParallelForOptions pf;
-    pf.morsel_size = morsel;
-    pf.deadline = options.deadline;
-    pf.cancel = options.cancel;
-    pf.weight = options.weight;
-    const Status st = pool->ParallelFor(
-        n, pf, [&](uint32_t /*worker*/, uint64_t begin, uint64_t end) {
-          PairSetShard& shard = shards[begin / morsel];
-          for (uint64_t i = begin; i < end; ++i) body(i, shard);
-        });
-    if (!st.ok()) return st;
-    for (const PairSetShard& shard : shards) {
-      set.MergeShard(shard);
-      result.edge_walks += shard.edge_walks;
-    }
-    return Status::OK();
-  };
-
   // --- Edge extension + node burnback, one query edge at a time. ---
   for (uint32_t e : plan.edge_order) {
     const QueryEdge& qe = query.Edge(e);
@@ -132,150 +97,74 @@ Result<GeneratorResult> AgGenerator::Generate(
     PairSet& set = ag.Set(e);
     const bool src_touched = ag.IsTouched(qe.src);
     const bool dst_touched = ag.IsTouched(qe.dst);
-    Status level_status;  // non-OK on a parallel-path interrupt
 
-    if (p >= store.NumPredicates()) {
-      // Label exists in the dictionary but has no triples: the edge set
-      // stays empty and burnback below wipes the constrained endpoints.
-    } else if (!src_touched && !dst_touched) {
-      // Cold start: the whole labeled edge set enters the AG.
-      if (parallel) {
-        // Morsel over the predicate's distinct subjects (random access
-        // into the CSR index — no transient edge-list copy). Subjects
-        // ascend and objects ascend within each subject, so the merged
-        // insertion order equals the serial ForEachEdge order.
-        const std::span<const NodeId> subjects = store.DistinctSubjects(p);
-        level_status = sharded_extend(
-            subjects.size(), kFrontierMorsel, set,
-            [&](uint64_t i, PairSetShard& shard) {
-              const NodeId s = subjects[i];
-              for (NodeId o : store.OutNeighbors(p, s)) {
+    // A label with no triples leaves the edge set empty; burnback below
+    // wipes the constrained endpoints.
+    if (p < store.NumPredicates()) {
+      // The frontier: on a cold start the predicate's distinct subjects
+      // (the whole labeled edge set enters the AG); otherwise the
+      // candidates of the constrained side — the side with fewer
+      // candidates when both are. Each frontier node x scans its data
+      // neighbors y in the frontier's direction.
+      const bool cold = !src_touched && !dst_touched;
+      const bool forward =
+          cold || (src_touched && !dst_touched) ||
+          (src_touched && dst_touched &&
+           ag.CandidateCount(qe.src) <= ag.CandidateCount(qe.dst));
+      const VarId from = forward ? qe.src : qe.dst;
+      const VarId to = forward ? qe.dst : qe.src;
+      const bool to_touched = forward ? dst_touched : src_touched;
+      std::vector<NodeId> candidates;
+      if (!cold) candidates = CollectCandidates(ag, from);
+      const std::span<const NodeId> frontier =
+          cold ? store.DistinctSubjects(p)
+               : std::span<const NodeId>(candidates);
+      // Pair filter: aliveness of y when its variable is constrained,
+      // the lookahead otherwise (for x too on a cold start).
+      auto accept = [&](NodeId x, NodeId y, uint64_t& walks) {
+        if (to_touched) return ag.IsAlive(to, y);
+        if (cold && !passes_lookahead(from, x, e, walks)) return false;
+        return passes_lookahead(to, y, e, walks);
+      };
+
+      // Morsels fill private PairSetShards, merged into `set` in morsel
+      // order at the barrier: subjects and candidates come in a fixed
+      // order and neighbors ascend, so the insertion sequence — and the
+      // AG, adjacency order included — is the same for every pool size.
+      // The body only reads shared state (store, AG sets of earlier
+      // levels). An interrupt returns before anything is merged.
+      const uint64_t num_morsels =
+          (frontier.size() + kFrontierMorsel - 1) / kFrontierMorsel;
+      std::vector<PairSetShard> shards(num_morsels);
+      ParallelForOptions pf;
+      pf.morsel_size = kFrontierMorsel;
+      pf.deadline = options.deadline;
+      pf.cancel = options.cancel;
+      pf.weight = options.weight;
+      WF_RETURN_NOT_OK(pool->ParallelFor(
+          frontier.size(), pf,
+          [&](uint32_t /*worker*/, uint64_t begin, uint64_t end) {
+            PairSetShard& shard = shards[begin / kFrontierMorsel];
+            for (uint64_t i = begin; i < end; ++i) {
+              const NodeId x = frontier[i];
+              if (!cold) ++shard.edge_walks;  // one index probe
+              for (NodeId y : forward ? store.OutNeighbors(p, x)
+                                      : store.InNeighbors(p, x)) {
                 ++shard.edge_walks;
-                if (passes_lookahead(qe.src, s, e, shard.edge_walks) &&
-                    passes_lookahead(qe.dst, o, e, shard.edge_walks)) {
-                  shard.Add(s, o);
+                if (!accept(x, y, shard.edge_walks)) continue;
+                if (forward) {
+                  shard.Add(x, y);
+                } else {
+                  shard.Add(y, x);
                 }
               }
-            });
-      } else {
-        store.ForEachEdge(p, [&](NodeId s, NodeId o) {
-          if (probe.Hit()) return;  // sticky: the rest of the scan is cheap
-          ++result.edge_walks;
-          if (passes_lookahead(qe.src, s, e, result.edge_walks) &&
-              passes_lookahead(qe.dst, o, e, result.edge_walks)) {
-            set.Add(s, o);
-          }
-        });
-      }
-    } else if (src_touched && !dst_touched) {
-      if (parallel) {
-        const std::vector<NodeId> frontier = CollectCandidates(ag, qe.src);
-        level_status = sharded_extend(
-            frontier.size(), kFrontierMorsel, set,
-            [&](uint64_t i, PairSetShard& shard) {
-              const NodeId u = frontier[i];
-              ++shard.edge_walks;  // one index probe
-              for (NodeId o : store.OutNeighbors(p, u)) {
-                ++shard.edge_walks;
-                if (passes_lookahead(qe.dst, o, e, shard.edge_walks)) {
-                  shard.Add(u, o);
-                }
-              }
-            });
-      } else {
-        ag.ForEachCandidate(qe.src, [&](NodeId u) {
-          if (probe.Hit()) return;
-          ++result.edge_walks;  // one index probe
-          for (NodeId o : store.OutNeighbors(p, u)) {
-            ++result.edge_walks;
-            if (passes_lookahead(qe.dst, o, e, result.edge_walks)) {
-              set.Add(u, o);
             }
-          }
-        });
-      }
-    } else if (!src_touched && dst_touched) {
-      if (parallel) {
-        const std::vector<NodeId> frontier = CollectCandidates(ag, qe.dst);
-        level_status = sharded_extend(
-            frontier.size(), kFrontierMorsel, set,
-            [&](uint64_t i, PairSetShard& shard) {
-              const NodeId w = frontier[i];
-              ++shard.edge_walks;
-              for (NodeId s : store.InNeighbors(p, w)) {
-                ++shard.edge_walks;
-                if (passes_lookahead(qe.src, s, e, shard.edge_walks)) {
-                  shard.Add(s, w);
-                }
-              }
-            });
-      } else {
-        ag.ForEachCandidate(qe.dst, [&](NodeId w) {
-          if (probe.Hit()) return;
-          ++result.edge_walks;
-          for (NodeId s : store.InNeighbors(p, w)) {
-            ++result.edge_walks;
-            if (passes_lookahead(qe.src, s, e, result.edge_walks)) {
-              set.Add(s, w);
-            }
-          }
-        });
-      }
-    } else {
-      // Both constrained: probe from the side with fewer candidates and
-      // filter the far endpoint by aliveness.
-      const uint64_t src_cand = ag.CandidateCount(qe.src);
-      const uint64_t dst_cand = ag.CandidateCount(qe.dst);
-      if (src_cand <= dst_cand) {
-        if (parallel) {
-          const std::vector<NodeId> frontier = CollectCandidates(ag, qe.src);
-          level_status = sharded_extend(
-              frontier.size(), kFrontierMorsel, set,
-              [&](uint64_t i, PairSetShard& shard) {
-                const NodeId u = frontier[i];
-                ++shard.edge_walks;
-                for (NodeId o : store.OutNeighbors(p, u)) {
-                  ++shard.edge_walks;
-                  if (ag.IsAlive(qe.dst, o)) shard.Add(u, o);
-                }
-              });
-        } else {
-          ag.ForEachCandidate(qe.src, [&](NodeId u) {
-            if (probe.Hit()) return;
-            ++result.edge_walks;
-            for (NodeId o : store.OutNeighbors(p, u)) {
-              ++result.edge_walks;
-              if (ag.IsAlive(qe.dst, o)) set.Add(u, o);
-            }
-          });
-        }
-      } else {
-        if (parallel) {
-          const std::vector<NodeId> frontier = CollectCandidates(ag, qe.dst);
-          level_status = sharded_extend(
-              frontier.size(), kFrontierMorsel, set,
-              [&](uint64_t i, PairSetShard& shard) {
-                const NodeId w = frontier[i];
-                ++shard.edge_walks;
-                for (NodeId s : store.InNeighbors(p, w)) {
-                  ++shard.edge_walks;
-                  if (ag.IsAlive(qe.src, s)) shard.Add(s, w);
-                }
-              });
-        } else {
-          ag.ForEachCandidate(qe.dst, [&](NodeId w) {
-            if (probe.Hit()) return;
-            ++result.edge_walks;
-            for (NodeId s : store.InNeighbors(p, w)) {
-              ++result.edge_walks;
-              if (ag.IsAlive(qe.src, s)) set.Add(s, w);
-            }
-          });
-        }
+          }));
+      for (const PairSetShard& shard : shards) {
+        set.MergeShard(shard);
+        result.edge_walks += shard.edge_walks;
       }
     }
-    if (!level_status.ok()) return level_status;
-    if (probe.triggered()) return probe.StatusFor("answer-graph generation");
 
     const uint64_t added = set.Size();
     ag.MarkMaterialized(e);
@@ -326,32 +215,6 @@ Result<GeneratorResult> AgGenerator::Generate(
     }
   }
 
-  // Generation is over. Either freeze the AG into its read-optimized CSR
-  // form (which replaces the adjacency lists outright, so no compaction
-  // is needed first), or drop tombstones so phase 2 iterates clean
-  // arrays. Both work set-at-a-time; AnswerGraph::Freeze shards
-  // internally on the pool.
-  if (options.freeze) {
-    const Stopwatch freeze_watch;
-    ag.Freeze(parallel ? pool : nullptr, options.weight);
-    result.freeze_seconds = freeze_watch.ElapsedSeconds();
-  } else if (parallel && ag.NumEdgeSets() > 1) {
-    ParallelForOptions pf;
-    pf.morsel_size = 1;
-    pf.weight = options.weight;
-    Status st = pool->ParallelFor(
-        ag.NumEdgeSets(), pf,
-        [&](uint32_t, uint64_t begin, uint64_t end) {
-          for (uint64_t s = begin; s < end; ++s) {
-            ag.Set(static_cast<uint32_t>(s)).Compact();
-          }
-        });
-    WF_CHECK(st.ok()) << "compaction has no deadline";
-  } else {
-    for (uint32_t s = 0; s < ag.NumEdgeSets(); ++s) {
-      ag.Set(s).Compact();
-    }
-  }
   // Every erasure funnels through `burnback`, so its counter is the
   // authoritative total — including the cascades chord materialization
   // triggers internally, which the per-step trace values never see

@@ -49,13 +49,13 @@ struct GeneratorOptions {
   /// engine. bench_ablation_lookahead quantifies the effect.
   bool lookahead = false;
   Deadline deadline;
-  /// Worker pool for morsel-parallel edge extension (not owned). Null or
-  /// single-threaded runs the exact serial code path. Each extension
-  /// level partitions its frontier into morsels whose workers fill
-  /// thread-local PairSetShards; shards merge in morsel order at the
-  /// level barrier, so the resulting AnswerGraph — including adjacency
-  /// order — is identical for every thread count. Burnback and chord
-  /// materialization stay serial (they run at the barrier).
+  /// Worker pool for morsel-parallel edge extension (not owned; null
+  /// runs on InlinePool). Each extension level partitions its frontier
+  /// into morsels whose workers fill thread-local PairSetShards; shards
+  /// merge in morsel order at the level barrier, so the resulting
+  /// AnswerGraph — including adjacency order — is identical for every
+  /// pool size. Node burnback drains on the same pool once a seed list
+  /// crosses `burnback_parallel_threshold`.
   ThreadPool* pool = nullptr;
   /// Optional cooperative cancellation (borrowed, may be null): polled on
   /// the same amortized cadence as the deadline; once set, generation
@@ -64,13 +64,6 @@ struct GeneratorOptions {
   /// Scheduler weight of every task-group this run submits to `pool`
   /// (service class of the owning query; see ParallelForOptions::weight).
   uint32_t weight = 1;
-  /// Freeze the answer graph into its immutable CSR form once generation
-  /// (including the final burnback and compaction) finishes, so phase 2
-  /// scans sorted spans instead of hash tables. Off by default here so
-  /// the raw generator hands back a mutable AG (paper-trace benches drive
-  /// burnback on it afterwards); WireframeOptions::freeze_ag enables it
-  /// for the engine.
-  bool freeze = false;
   /// Minimum seed-worklist size before node-burnback cascades drain in
   /// parallel on `pool` (BurnbackOptions::parallel_threshold). Tests pin
   /// this to 1 to force the partitioned drain on small fixtures.
@@ -79,7 +72,9 @@ struct GeneratorOptions {
   std::function<void(const GeneratorTraceStep&)> trace;
 };
 
-/// Phase-1 output: the answer graph plus cost accounting.
+/// Phase-1 output: the answer graph, in its mutable build form (the
+/// engine freezes it before phase 2; paper-trace benches and tests keep
+/// driving burnback on it), plus cost accounting.
 struct GeneratorResult {
   // Held by pointer: AnswerGraph is move-only and large.
   std::unique_ptr<AnswerGraph> ag;
@@ -96,8 +91,6 @@ struct GeneratorResult {
   /// Wall seconds inside node burnback (seed scans + cascade drains,
   /// chord-materialization pruning included).
   double burnback_seconds = 0.0;
-  /// Wall seconds spent freezing the AG (0 when options.freeze is off).
-  double freeze_seconds = 0.0;
 };
 
 /// Executes the answer-graph generation phase (paper §3): for each query

@@ -58,12 +58,8 @@ Status WireframeEngine::ExecutePhase2(const QueryGraph& query,
   Stopwatch aggregate_watch;
   detail->has_aggregate = true;
   AggregatePlanner planner(query);
-  AggregatePlan plan =
+  const AggregatePlan plan =
       planner.Plan(spec, AggregateExecutor::MaterializedChords(ag));
-  if (plan.mode != AggregateMode::kEnumerate && !ag.IsFrozen()) {
-    plan.mode = AggregateMode::kEnumerate;
-    plan.reason = "answer graph not frozen (freeze_ag off)";
-  }
   if (plan.mode != AggregateMode::kEnumerate) {
     AggregateExecutor executor(query, ag);
     AggregateExecutorOptions exec_options;
@@ -95,9 +91,8 @@ Result<WireframeRunDetail> WireframeEngine::RunDetailed(
   Stopwatch total;
 
   // One pool serves both phases: the shared runtime pool when this run is
-  // part of a QueryRuntime, otherwise a private pool (threads==1, the
-  // default, never builds one, so the serial paths run exactly as
-  // before).
+  // part of a QueryRuntime, otherwise a private pool, or the inline pool
+  // at threads == 1 (the default).
   PoolLease lease(options);
   ThreadPool* pool = lease.get();
   detail.threads = lease.threads();
@@ -121,7 +116,8 @@ Result<WireframeRunDetail> WireframeEngine::RunDetailed(
   }
   detail.plan_seconds = plan_watch.ElapsedSeconds();
 
-  // --- Phase 1: answer-graph generation. ---
+  // --- Phase 1: answer-graph generation, then the freeze into the CSR
+  // form phase 2 reads. ---
   Stopwatch phase1_watch;
   GeneratorOptions gen_options;
   gen_options.triangulate = options_.triangulate;
@@ -131,14 +127,14 @@ Result<WireframeRunDetail> WireframeEngine::RunDetailed(
   gen_options.pool = pool;
   gen_options.cancel = options.runtime.cancel;
   gen_options.weight = options.runtime.weight;
-  gen_options.freeze = options_.freeze_ag;
   AgGenerator generator(db, catalog);
   WF_ASSIGN_OR_RETURN(GeneratorResult gen,
                       generator.Generate(query, detail.ag_plan, gen_options));
+  const Stopwatch freeze_watch;
+  gen.ag->Freeze(pool, options.runtime.weight);
+  detail.stats.freeze_seconds = freeze_watch.ElapsedSeconds();
   detail.stats.phase1_seconds = phase1_watch.ElapsedSeconds();
   detail.stats.burnback_seconds = gen.burnback_seconds;
-  detail.stats.freeze_seconds = gen.freeze_seconds;
-  detail.pairs_burned = gen.pairs_burned;
   detail.chord_pairs = gen.chord_pairs;
 
   // --- Phase 2: embeddings, or the factorized aggregate DP. ---

@@ -37,14 +37,6 @@ struct WireframeOptions {
   /// enumeration over the iAG is already output-optimal for acyclic CQs;
   /// bench_ablation_bushy measures where bushy pays.
   bool bushy_phase2 = false;
-  /// Freeze the answer graph into its immutable CSR form between the two
-  /// phases (AnswerGraph::Freeze), so defactorization / bushy execution
-  /// scan sorted spans instead of probing hash tables. Sound: the frozen
-  /// view holds exactly the live pairs, so embeddings and |AG| are
-  /// unchanged (the freeze-equivalence suite certifies it). On by
-  /// default; off reproduces the historical mutable read path (and hands
-  /// back a mutable AG in WireframeRunDetail).
-  bool freeze_ag = true;
 };
 
 /// Detailed result of one Wireframe run, superset of EngineStats: exposes
@@ -60,10 +52,10 @@ struct WireframeRunDetail {
   /// Resolved worker-thread count the run used (EngineOptions::threads
   /// with 0 mapped to the hardware core count).
   uint32_t threads = 1;
-  uint64_t pairs_burned = 0;
   uint64_t chord_pairs = 0;
   bool cyclic = false;
-  /// The answer graph (query-edge sets live; chords included when used).
+  /// The answer graph, frozen (query-edge sets live; chords included
+  /// when used).
   std::unique_ptr<AnswerGraph> ag;
   AgPlan ag_plan;
   EmbeddingPlan embedding_plan;
@@ -77,9 +69,10 @@ struct WireframeRunDetail {
 };
 
 /// The prototype system (paper §5): a two-phase, cost-based evaluator for
-/// SPARQL conjunctive queries. Phase 1 plans (Edgifier + Triangulator) and
-/// generates the answer graph; phase 2 plans (greedy, on exact AG
-/// statistics) and generates the embeddings.
+/// SPARQL conjunctive queries. Phase 1 plans (Edgifier + Triangulator),
+/// generates the answer graph and freezes it into its CSR form; phase 2
+/// plans (greedy, on exact AG statistics) and generates the embeddings
+/// from the frozen AG.
 class WireframeEngine : public Engine {
  public:
   explicit WireframeEngine(WireframeOptions options = {})

@@ -4,7 +4,6 @@
 #include <span>
 #include <utility>
 
-#include "util/interrupt.h"
 #include "util/logging.h"
 #include "util/span_kernels.h"
 #include "util/thread_pool.h"
@@ -93,27 +92,18 @@ struct DpState {
       : counts(num_vars), keys(num_vars), has_counts(num_vars, 0) {}
 };
 
-/// Runs `body(worker, begin, end)` over [0, n): morsel-parallel on the
-/// borrowed pool, or serially with the usual amortized interrupt probe.
+/// Runs `body(worker, begin, end)` over [0, n) in morsels on the pool
+/// (resolved to non-null by AggregateExecutor::Run).
 template <typename Body>
 Status RunLoop(uint64_t n, const AggregateExecutorOptions& options,
                const Body& body, std::atomic<bool>* stop = nullptr) {
-  if (options.pool != nullptr) {
-    ParallelForOptions po;
-    po.morsel_size = kDpMorselSize;
-    po.deadline = options.deadline;
-    po.cancel = options.cancel;
-    po.stop = stop;
-    po.weight = options.weight;
-    return options.pool->ParallelFor(n, po, body);
-  }
-  InterruptProbe probe(options.deadline, options.cancel, /*stride=*/1024);
-  for (uint64_t i = 0; i < n; ++i) {
-    if (stop != nullptr && stop->load(std::memory_order_relaxed)) break;
-    if (probe.Hit()) return probe.StatusFor("aggregate DP");
-    body(0u, i, i + 1);
-  }
-  return Status::OK();
+  ParallelForOptions po;
+  po.morsel_size = kDpMorselSize;
+  po.deadline = options.deadline;
+  po.cancel = options.cancel;
+  po.stop = stop;
+  po.weight = options.weight;
+  return options.pool->ParallelFor(n, po, body);
 }
 
 /// Sum of the child's down-counts over one span (the span length when
@@ -309,8 +299,7 @@ Status RunCycleSweep(const QueryGraph& query, const AnswerGraph& ag,
   totals_out->assign(nodes.size(), Ops::FromLen(0));
   std::vector<T>& totals = *totals_out;
 
-  const uint32_t workers =
-      options.pool != nullptr ? options.pool->num_threads() : 1;
+  const uint32_t workers = options.pool->num_threads();
   std::vector<std::vector<NodeId>> scratch_a(workers), scratch_b(workers);
   std::atomic<bool> witness{false};  // ASK stops at the first hit
 
@@ -474,10 +463,12 @@ AggregateResult EnumeratingAggregateSink::TakeResult() {
 
 Result<AggregateResult> AggregateExecutor::Run(
     const AggregatePlan& plan, const AggregateSpec& spec,
-    const AggregateExecutorOptions& options) const {
+    const AggregateExecutorOptions& caller_options) const {
   WF_CHECK(plan.mode != AggregateMode::kEnumerate)
       << "enumerate plans run through phase 2, not the DP";
   WF_CHECK(ag_->IsFrozen()) << "the counting DP requires a frozen AG";
+  AggregateExecutorOptions options = caller_options;
+  if (options.pool == nullptr) options.pool = InlinePool();
   {
     WF_ASSIGN_OR_RETURN(PassOutcome pass,
                         RunPass<U64Ops>(*query_, *ag_, plan, spec, options));

@@ -134,7 +134,7 @@ class EnumeratingAggregateSink : public Sink {
 
 struct AggregateExecutorOptions {
   Deadline deadline;
-  /// Borrowed morsel pool (null runs the exact serial path).
+  /// Borrowed morsel pool (null runs on InlinePool).
   ThreadPool* pool = nullptr;
   /// Cooperative cancellation, polled like the deadline. May be null.
   std::atomic<bool>* cancel = nullptr;

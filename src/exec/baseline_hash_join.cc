@@ -13,9 +13,9 @@ Result<EngineStats> HashJoinEngine::Run(const Database& db,
                                         Sink* sink) {
   CardinalityEstimator estimator(catalog);
   const std::vector<uint32_t> order = OrderByEstimatedGrowth(query, estimator);
-  // The build side of every join step is morsel-parallel (Table-1 stays
-  // apples-to-apples with the parallel Wireframe phases); threads==1
-  // with no shared runtime keeps the serial path.
+  // The build side of every join step runs in morsels on the leased pool
+  // (Table-1 stays apples-to-apples with the parallel Wireframe phases);
+  // threads==1 with no shared runtime runs them inline.
   PoolLease lease(options);
   return RunMaterializing(db, query, order, options.deadline,
                           options.runtime.cancel, kMaxCells, sink,

@@ -17,14 +17,14 @@ PoolLease::PoolLease(const EngineOptions& options) {
   if (threads > 1) {
     owned_ = std::make_unique<ThreadPool>(threads);
     pool_ = owned_.get();
+  } else {
+    pool_ = InlinePool();
   }
 }
 
 PoolLease::~PoolLease() = default;
 
-uint32_t PoolLease::threads() const {
-  return pool_ != nullptr ? pool_->num_threads() : 1;
-}
+uint32_t PoolLease::threads() const { return pool_->num_threads(); }
 
 std::unique_ptr<Engine> MakeEngine(std::string_view name) {
   if (name == "WF") return std::make_unique<WireframeEngine>();

@@ -47,10 +47,11 @@ struct EngineOptions {
   Deadline deadline;
   /// Worker threads for the morsel-driven parallel phases (Wireframe
   /// generation and defactorization, the hash-join baseline's build
-  /// side). 1 runs the exact serial code paths; 0 means one thread per
-  /// hardware core. Results are thread-count-invariant: the embedding
-  /// multiset and |AG| are identical for every value. Ignored when
-  /// `runtime.pool` is set — the shared pool's size governs.
+  /// side). 1 runs the same morsel loops inline on the calling thread;
+  /// 0 means one thread per hardware core. Results are
+  /// thread-count-invariant: the embedding multiset and |AG| are
+  /// identical for every value. Ignored when `runtime.pool` is set —
+  /// the shared pool's size governs.
   uint32_t threads = 1;
   /// Shared-runtime variant: borrowed pool + cancellation (see
   /// RuntimeHandle). Default-empty keeps the historical one-pool-per-Run
@@ -60,8 +61,9 @@ struct EngineOptions {
 
 /// Resolves EngineOptions to the worker pool a Run should use: the shared
 /// runtime pool when one is handed in, otherwise a privately owned pool
-/// when threads > 1, otherwise none (exact serial paths). Engines hold
-/// one lease for the duration of Run.
+/// when threads > 1, otherwise the process-wide inline pool
+/// (InlinePool). Never null. Engines hold one lease for the duration of
+/// Run.
 class PoolLease {
  public:
   explicit PoolLease(const EngineOptions& options);
@@ -70,9 +72,9 @@ class PoolLease {
   PoolLease(const PoolLease&) = delete;
   PoolLease& operator=(const PoolLease&) = delete;
 
-  /// The pool to run morsel loops on; null means stay serial.
+  /// The pool to run morsel loops on.
   ThreadPool* get() const { return pool_; }
-  /// Worker slots available to this run (1 when serial).
+  /// Worker slots available to this run.
   uint32_t threads() const;
 
  private:

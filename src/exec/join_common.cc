@@ -225,7 +225,7 @@ Result<EngineStats> RunPipelined(const Database& db, const QueryGraph& query,
 
 namespace {
 
-/// Source rows per morsel for the parallel build side.
+/// Source rows per morsel of a build step.
 constexpr uint64_t kBuildMorsel = 512;
 
 }  // namespace
@@ -240,7 +240,7 @@ Result<EngineStats> RunMaterializing(const Database& db,
   Stopwatch watch;
   const TripleStore& store = db.store();
   const uint32_t num_vars = query.NumVars();
-  const bool parallel = pool != nullptr && pool->num_threads() > 1;
+  if (pool == nullptr) pool = InlinePool();
 
   // Rows are full-width bindings; unbound slots hold kInvalidNode.
   std::vector<std::vector<NodeId>> rows;
@@ -253,8 +253,7 @@ Result<EngineStats> RunMaterializing(const Database& db,
     std::vector<std::vector<NodeId>> next;
 
     // Extends one source row by `qe`, appending the surviving bindings to
-    // `out` and charging index work to `walks`. Shared by the serial loop
-    // and the parallel morsel bodies.
+    // `out` and charging index work to `walks`.
     auto extend_row = [&](std::vector<NodeId>& row,
                           std::vector<std::vector<NodeId>>& out,
                           uint64_t& walks) {
@@ -295,11 +294,11 @@ Result<EngineStats> RunMaterializing(const Database& db,
         next.push_back(std::move(row));
       });
       stats.edge_walks += next.size();
-    } else if (parallel && rows.size() > kBuildMorsel) {
+    } else {
       // Morsel-parallel build: each morsel extends its slice of the
       // previous intermediate into a private chunk; chunks concatenate in
-      // morsel order, keeping the intermediate bit-identical to the
-      // serial run. Only the shared immutable store is read.
+      // morsel order, keeping the intermediate the same for every pool
+      // size. Only the shared immutable store is read.
       const uint64_t num_morsels =
           (rows.size() + kBuildMorsel - 1) / kBuildMorsel;
       std::vector<std::vector<std::vector<NodeId>>> chunks(num_morsels);
@@ -339,15 +338,6 @@ Result<EngineStats> RunMaterializing(const Database& db,
           next.push_back(std::move(row));
         }
         stats.edge_walks += chunk_walks[m];
-      }
-    } else {
-      for (std::vector<NodeId>& row : rows) {
-        if (probe.Hit()) return probe.StatusFor("materializing join");
-        extend_row(row, next, stats.edge_walks);
-        if (static_cast<uint64_t>(next.size()) * num_vars > max_cells) {
-          return Status::OutOfRange(
-              "intermediate result exceeded the memory budget");
-        }
       }
     }
     rows = std::move(next);

@@ -24,8 +24,8 @@ namespace wireframe {
 /// A fully materialized join intermediate: flat row-major storage over a
 /// schema of variables. Shared by every materializing join in the system
 /// (the bushy executor's hash joins today); rows are appended as raw
-/// cells so a morsel-parallel probe can concatenate chunks bit-identically
-/// to a serial run.
+/// cells so per-morsel chunks concatenate into the same relation for
+/// every pool size.
 struct JoinRelation {
   std::vector<VarId> schema;
   std::vector<NodeId> cells;  // rows.size() * schema.size()
@@ -86,13 +86,12 @@ Result<EngineStats> RunPipelined(const Database& db, const QueryGraph& query,
 /// memory (rows x vars); exceeding it aborts with OutOfRange, which the
 /// benches report like a timeout.
 ///
-/// `pool` (optional, not owned) parallelizes each build step over morsels
-/// of the previous intermediate; per-morsel row chunks concatenate in
-/// morsel order, so every intermediate — and the final result — is
-/// bit-identical to the serial run. Null or single-threaded takes the
-/// exact serial code path. `weight` is the scheduler share of the build
-/// loops on a shared pool (service class of the owning query; see
-/// ParallelForOptions::weight).
+/// Each build step runs over morsels of the previous intermediate on
+/// `pool` (not owned; null runs on InlinePool); per-morsel row chunks
+/// concatenate in morsel order, so every intermediate — and the final
+/// result — is the same for every pool size. `weight` is the scheduler
+/// share of the build loops on a shared pool (service class of the
+/// owning query; see ParallelForOptions::weight).
 Result<EngineStats> RunMaterializing(const Database& db,
                                      const QueryGraph& query,
                                      const std::vector<uint32_t>& order,

@@ -613,20 +613,16 @@ Result<EngineStats> QueryRuntime::RunEngine(QuerySession& session,
       // phase 1 including burnback and freeze, not phase 2 (hits still
       // pay phase 2). A budget- or sink-stopped run still yields a
       // complete AG — phase 1 always runs to the end — so it fills too.
-      if (detail->ag != nullptr && detail->ag->IsFrozen()) {
-        auto value = std::make_shared<CachedAg>();
-        value->ag = std::shared_ptr<const AnswerGraph>(std::move(detail->ag));
-        value->query = req.query;
-        // The cached query is a shape, not a request: strip any
-        // aggregate so a COUNT-filled entry serves later plain SELECTs
-        // (and vice versa) without smuggling the filler's spec along.
-        value->query.SetAggregate({});
-        value->to_canonical = std::move(canon.to_canonical);
-        ag_cache_->EndFill(tenant, canon.key, std::move(value),
-                           detail->stats.phase1_seconds);
-      } else {
-        ag_cache_->EndFill(tenant, canon.key, nullptr, 0.0);
-      }
+      auto value = std::make_shared<CachedAg>();
+      value->ag = std::shared_ptr<const AnswerGraph>(std::move(detail->ag));
+      value->query = req.query;
+      // The cached query is a shape, not a request: strip any aggregate
+      // so a COUNT-filled entry serves later plain SELECTs (and vice
+      // versa) without smuggling the filler's spec along.
+      value->query.SetAggregate({});
+      value->to_canonical = std::move(canon.to_canonical);
+      ag_cache_->EndFill(tenant, canon.key, std::move(value),
+                         detail->stats.phase1_seconds);
     }
     return detail->stats;
   }

@@ -9,12 +9,14 @@
 
 namespace wireframe {
 
-/// Amortized cooperative-interrupt probe shared by the serial engine
-/// loops: Hit() pays one relaxed cancel load plus one clock read every
-/// `stride` calls (cancellation is checked first — it is the cheaper
-/// load and the stronger signal) and is sticky once triggered, so loops
-/// that cannot break out of a visitor callback stay cheap after the
-/// interrupt. The parallel loops get the same checks per morsel from
+/// Amortized cooperative-interrupt probe for work that a per-morsel check
+/// cannot bound: the tuple-at-a-time baselines, the defactorizer's
+/// recursion below one root, and barrier checks between morsel loops
+/// (CheckNow). Hit() pays one relaxed cancel load plus one clock read
+/// every `stride` calls (cancellation is checked first — it is the
+/// cheaper load and the stronger signal) and is sticky once triggered,
+/// so loops that cannot break out of a visitor callback stay cheap after
+/// the interrupt. Morsel loops get the same checks per morsel from
 /// ParallelForOptions{deadline, cancel}.
 class InterruptProbe {
  public:

@@ -23,6 +23,11 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
+ThreadPool* InlinePool() {
+  static ThreadPool pool(1);
+  return &pool;
+}
+
 uint32_t ThreadPool::ResolveThreads(uint32_t requested) {
   if (requested != 0) return requested;
   return std::max(1u, std::thread::hardware_concurrency());

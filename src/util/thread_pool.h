@@ -60,10 +60,12 @@ struct ParallelForOptions {
 /// soaks up proportionally more worker picks than a batch group without
 /// ever starving it. The calling thread participates as worker 0 of its
 /// own group only, so ThreadPool(n) spawns n-1 threads and ThreadPool(1)
-/// spawns none and runs everything inline on the caller — the serial
-/// path stays the serial path. The pool is not re-entrant from inside a
-/// body, but ParallelFor may be called concurrently from any number of
-/// external threads.
+/// spawns none: its ParallelFor runs every morsel inline on the caller,
+/// in index order, without registering a task-group (concurrent callers
+/// share no scheduler state). That is what makes one code path serve
+/// every thread count (see InlinePool). The pool is not re-entrant from
+/// inside a body, but ParallelFor may be called concurrently from any
+/// number of external threads.
 ///
 /// Worker-id contract: `worker` is in [0, num_threads()) and is unique
 /// among the threads concurrently executing one task-group (spawned
@@ -173,6 +175,12 @@ class ThreadPool {
   std::atomic<size_t> num_jobs_{0};
   bool shutdown_ = false;
 };
+
+/// The process-wide ThreadPool(1): no worker threads, every ParallelFor
+/// runs inline on its caller. Components that take an optional pool run
+/// their morsel loops here when handed null, so a single-threaded run
+/// takes the same code path as a parallel one.
+ThreadPool* InlinePool();
 
 }  // namespace wireframe
 

@@ -36,6 +36,7 @@ std::unique_ptr<AnswerGraph> BuildAg(const Database& db, const Catalog& cat,
   AgGenerator gen(db, cat);
   auto result = gen.Generate(q, *plan, GeneratorOptions{});
   EXPECT_TRUE(result.ok());
+  result->ag->Freeze();  // phase 2 reads only the frozen form
   return std::move(result->ag);
 }
 

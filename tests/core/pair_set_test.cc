@@ -111,63 +111,6 @@ TEST(PairSetTest, EraseDuringFwdIterationIsSafe) {
   EXPECT_EQ(s.SrcCount(7), 0u);
 }
 
-TEST(PairSetTest, FreshSetIsCompact) {
-  PairSet s;
-  EXPECT_TRUE(s.IsCompact());
-  s.Add(1, 2);
-  EXPECT_TRUE(s.IsCompact());  // adds never create tombstones
-  s.Erase(1, 2);
-  EXPECT_FALSE(s.IsCompact());
-}
-
-TEST(PairSetTest, CompactDropsTombstonesAndPreservesContent) {
-  PairSet s;
-  for (NodeId u = 0; u < 20; ++u) {
-    for (NodeId v = 100; v < 110; ++v) s.Add(u, v);
-  }
-  for (NodeId u = 0; u < 20; u += 2) {
-    for (NodeId v = 100; v < 110; ++v) s.Erase(u, v);
-  }
-  EXPECT_FALSE(s.IsCompact());
-  const uint64_t size_before = s.Size();
-  s.Compact();
-  EXPECT_TRUE(s.IsCompact());
-  EXPECT_EQ(s.Size(), size_before);
-  // Iteration after compaction sees exactly the live pairs.
-  uint64_t seen = 0;
-  for (NodeId u = 1; u < 20; u += 2) {
-    s.ForEachFwd(u, [&](NodeId v) {
-      EXPECT_GE(v, 100u);
-      ++seen;
-    });
-  }
-  EXPECT_EQ(seen, size_before);
-  // Fully-erased sources disappear from the forward index.
-  s.ForEachFwd(0, [&](NodeId) { FAIL() << "source 0 was fully erased"; });
-  // Backward direction too.
-  uint64_t back = 0;
-  for (NodeId v = 100; v < 110; ++v) {
-    s.ForEachBwd(v, [&](NodeId u) {
-      EXPECT_EQ(u % 2, 1u);
-      ++back;
-    });
-  }
-  EXPECT_EQ(back, size_before);
-}
-
-TEST(PairSetTest, CompactIsIdempotent) {
-  PairSet s;
-  s.Add(1, 2);
-  s.Add(3, 4);
-  s.Erase(3, 4);
-  s.Compact();
-  s.Compact();
-  EXPECT_EQ(s.Size(), 1u);
-  EXPECT_TRUE(s.Contains(1, 2));
-  EXPECT_EQ(s.DistinctSrcCount(), 1u);
-  EXPECT_EQ(s.DistinctDstCount(), 1u);
-}
-
 TEST(PairSetShardTest, MergeShardMatchesDirectAdds) {
   // Build the same pair set twice: direct Adds in one stream, and the
   // same stream partitioned into shards merged in order. Everything
@@ -241,10 +184,8 @@ TEST(PairSetTest, FreezeKeepsEveryObservable) {
     mutable_set.Erase(u, (u * 3) % 40);
     frozen_set.Erase(u, (u * 3) % 40);
   }
-  frozen_set.Compact();
   frozen_set.Freeze();
   ASSERT_TRUE(frozen_set.IsFrozen());
-  EXPECT_TRUE(frozen_set.IsCompact());
 
   EXPECT_EQ(frozen_set.Size(), mutable_set.Size());
   EXPECT_EQ(frozen_set.DistinctSrcCount(), mutable_set.DistinctSrcCount());

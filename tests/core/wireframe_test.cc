@@ -1,10 +1,18 @@
 #include "core/wireframe.h"
 
+#include <atomic>
+
 #include <gtest/gtest.h>
 
+#include "catalog/estimator.h"
+#include "core/burnback.h"
+#include "core/chords.h"
 #include "datagen/figures.h"
 #include "datagen/synthetic.h"
+#include "planner/edgifier.h"
+#include "planner/triangulator.h"
 #include "query/parser.h"
+#include "query/shape.h"
 #include "testutil/fixtures.h"
 
 namespace wireframe {
@@ -169,6 +177,105 @@ TEST(WireframeEngineTest, DisconnectedQueryRejected) {
   auto stats = engine.Run(db, cat, q, EngineOptions{}, &sink);
   ASSERT_FALSE(stats.ok());
   EXPECT_TRUE(stats.status().IsInvalidArgument());
+}
+
+// A cancel flag raised before the run makes it return kCancelled at every
+// pool size. At threads=1 the morsel loops run inline on the caller, so
+// ParallelFor's per-morsel check is what serves the flag there too. Each
+// case also runs phase 2 alone (RunOverAg over the uncancelled run's
+// frozen AG), so the defactorizer, the bushy executor and the counting DP
+// each see the raised flag themselves.
+TEST(WireframeEngineTest, CancelFlagStopsEveryStage) {
+  Database chain = MakeChainBlowupGraph(60, 60, 30);
+  Catalog chain_cat = Catalog::Build(chain.store());
+  Database square = MakeRandomGraph(80, 3, 6000, 777);
+  Catalog square_cat = Catalog::Build(square.store());
+  const char* const kChain =
+      "select * where { ?w A ?x . ?x B ?y . ?y C ?z . }";
+  const char* const kSquare =
+      "select * where { ?a p0 ?b . ?b p1 ?c . ?c p2 ?d . ?d p0 ?a . }";
+  struct Case {
+    const char* what;
+    const Database* db;
+    const Catalog* cat;
+    const char* text;
+    bool bushy;
+  };
+  const Case cases[] = {
+      {"acyclic select", &chain, &chain_cat, kChain, false},
+      {"cyclic select", &square, &square_cat, kSquare, false},
+      {"bushy select", &chain, &chain_cat, kChain, true},
+      {"count", &chain, &chain_cat,
+       "select (count(*) as ?c) where { ?w A ?x . ?x B ?y . ?y C ?z . }",
+       false},
+  };
+  for (const Case& c : cases) {
+    auto q = SparqlParser::ParseAndBind(c.text, *c.db);
+    ASSERT_TRUE(q.ok()) << c.what << ": " << q.status().ToString();
+    WireframeOptions wf_options;
+    wf_options.bushy_phase2 = c.bushy;
+    WireframeEngine engine(wf_options);
+
+    // Uncancelled, the query reaches the stage the case is about.
+    CountingSink reference_sink;
+    auto reference = engine.RunDetailed(*c.db, *c.cat, *q, EngineOptions{},
+                                        &reference_sink);
+    ASSERT_TRUE(reference.ok()) << c.what;
+    EXPECT_GT(reference->stats.ag_pairs, 0u) << c.what;
+    if (c.db == &square) EXPECT_GT(reference->chord_pairs, 0u) << c.what;
+    EXPECT_EQ(reference->used_bushy, c.bushy) << c.what;
+    if (reference->has_aggregate) {
+      EXPECT_TRUE(reference->aggregate.factorized) << c.what;
+    }
+
+    for (uint32_t threads : {1u, 4u}) {
+      std::atomic<bool> cancel{true};
+      EngineOptions options;
+      options.threads = threads;
+      options.runtime.cancel = &cancel;
+      CountingSink sink;
+      auto run = engine.Run(*c.db, *c.cat, *q, options, &sink);
+      ASSERT_FALSE(run.ok()) << c.what << " threads " << threads;
+      EXPECT_TRUE(run.status().IsCancelled())
+          << c.what << " threads " << threads << ": "
+          << run.status().ToString();
+      auto phase2 = engine.RunOverAg(*q, *reference->ag, options, &sink);
+      ASSERT_FALSE(phase2.ok()) << c.what << " threads " << threads;
+      EXPECT_TRUE(phase2.status().IsCancelled())
+          << c.what << " phase 2, threads " << threads << ": "
+          << phase2.status().ToString();
+      EXPECT_EQ(sink.count(), 0u) << c.what << " threads " << threads;
+    }
+  }
+
+  // Chord materialization alone: the square's query edges generated
+  // without chords, then its chords materialized under a raised flag.
+  auto q = SparqlParser::ParseAndBind(kSquare, square);
+  ASSERT_TRUE(q.ok());
+  CardinalityEstimator estimator(square_cat);
+  auto plan = Edgifier(*q, estimator).PlanEdgeOrder();
+  ASSERT_TRUE(plan.ok());
+  auto chords = Triangulator(*q, estimator).Triangulate(AnalyzeShape(*q));
+  ASSERT_TRUE(chords.ok());
+  ASSERT_FALSE(chords->chords.empty());
+  GeneratorOptions gen_options;
+  gen_options.triangulate = false;
+  auto gen = AgGenerator(square, square_cat).Generate(*q, *plan, gen_options);
+  ASSERT_TRUE(gen.ok());
+  Burnback burnback(gen->ag.get());
+  ChordEvaluator evaluator(*chords, gen->ag.get(), &burnback);
+  evaluator.RegisterChordSlots();
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::atomic<bool> cancel{true};
+    ChordMaterializeOptions options;
+    options.pool = p;
+    options.cancel = &cancel;
+    uint64_t walks = 0;
+    const Status st = evaluator.MaterializeChords(options, &walks);
+    EXPECT_TRUE(st.IsCancelled()) << st.ToString();
+    EXPECT_EQ(walks, 0u);
+  }
 }
 
 TEST(WireframeEngineTest, FactorizationRatioGrowsWithFanout) {

@@ -64,11 +64,7 @@ TEST_P(GeneratorPropertyTest, InvariantsHoldOnRandomInstances) {
         EXPECT_TRUE(ag.IsAlive(ag.DstVar(e), v));
       });
     }
-    // 3. Edge sets are compacted after generation.
-    for (uint32_t e = 0; e < ag.NumEdgeSets(); ++e) {
-      EXPECT_TRUE(ag.Set(e).IsCompact());
-    }
-    // 4. Walk accounting: at least one walk per surviving pair.
+    // 3. Walk accounting: at least one walk per surviving pair.
     EXPECT_GE(result->edge_walks, ag.TotalQueryEdgePairs());
   }
 }

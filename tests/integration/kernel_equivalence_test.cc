@@ -45,7 +45,6 @@ KernelRun RunWithDispatch(const Database& db, const Catalog& cat,
                           uint32_t threads, bool bushy) {
   ScopedForceScalar guard(force_scalar);
   WireframeOptions wf_options;
-  wf_options.freeze_ag = true;
   wf_options.bushy_phase2 = bushy;
   WireframeEngine engine(wf_options);
   CollectingSink sink;

@@ -87,6 +87,41 @@ TEST(ThreadPoolTest, SingleThreadRunsInlineOnCaller) {
   EXPECT_EQ(sum, 99ull * 100 / 2);
 }
 
+// The process-wide inline pool: one instance, no workers, and concurrent
+// callers each run every morsel of their own loop on their own thread.
+TEST(ThreadPoolTest, InlinePoolRunsEachCallersLoopOnThatCaller) {
+  ThreadPool* pool = InlinePool();
+  ASSERT_EQ(pool, InlinePool());
+  EXPECT_EQ(pool->num_threads(), 1u);
+  constexpr int kCallers = 4;
+  constexpr uint64_t kN = 5000;
+  std::vector<uint64_t> sums(kCallers, 0);
+  // One byte per caller (not vector<bool>, whose bits share words).
+  std::vector<char> inline_only(kCallers, 1);
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      const std::thread::id self = std::this_thread::get_id();
+      ParallelForOptions options;
+      options.morsel_size = 16;
+      const Status st = pool->ParallelFor(
+          kN, options, [&](uint32_t worker, uint64_t begin, uint64_t end) {
+            if (worker != 0 || std::this_thread::get_id() != self) {
+              inline_only[c] = 0;
+            }
+            for (uint64_t i = begin; i < end; ++i) sums[c] += i;
+          });
+      EXPECT_TRUE(st.ok());
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(inline_only[c], 1) << "caller " << c;
+    EXPECT_EQ(sums[c], (kN - 1) * kN / 2) << "caller " << c;
+  }
+}
+
 TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
   ThreadPool pool(4);
   ParallelForOptions options;
