@@ -16,6 +16,7 @@
 //                         [--timeout=60] [--json=<path>]
 
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -84,6 +85,11 @@ int main(int argc, char** argv) {
   const double timeout = flags.GetDouble("timeout", 60.0);
   const std::vector<uint32_t> thread_counts =
       ParseThreads(flags.GetString("threads_list", "1,0"));
+  // One pool per swept thread count, lent to every run at that count.
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (uint32_t threads : thread_counts) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
 
   std::cout << "=== Factorized COUNT(*) (DP on the frozen AG) vs"
                " enumerate-then-count ===\n\n";
@@ -171,7 +177,8 @@ int main(int argc, char** argv) {
                                      {"WF-AGG", true, "WF"},
                                      {"PG", false, "PG"}};
     for (const Mode& mode : modes) {
-      for (uint32_t threads : thread_counts) {
+      for (size_t t = 0; t < thread_counts.size(); ++t) {
+        const uint32_t threads = thread_counts[t];
         if (mode.engine == "PG" && threads != thread_counts.front()) {
           continue;  // the baseline is single-configuration
         }
@@ -186,7 +193,7 @@ int main(int argc, char** argv) {
         for (int rep = 0; rep < std::max(1, reps); ++rep) {
           EngineOptions options;
           options.deadline = Deadline::AfterSeconds(timeout);
-          options.threads = threads;
+          options.runtime.pool = pools[t].get();
           Stopwatch watch;
           if (mode.engine == "WF") {
             WireframeEngine engine(wf_options);

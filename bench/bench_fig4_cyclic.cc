@@ -16,6 +16,7 @@
 #include "query/parser.h"
 #include "util/flags.h"
 #include "util/table_printer.h"
+#include "util/thread_pool.h"
 
 using namespace wireframe;
 
@@ -32,7 +33,7 @@ struct ModeResult {
 
 ModeResult RunMode(const Database& db, const Catalog& catalog,
                    const QueryGraph& q, bool triangulate, bool edge_burnback,
-                   double timeout, uint32_t threads) {
+                   double timeout, ThreadPool* pool) {
   WireframeOptions options;
   options.triangulate = triangulate;
   options.edge_burnback = edge_burnback;
@@ -40,7 +41,7 @@ ModeResult RunMode(const Database& db, const Catalog& catalog,
   CountingSink sink;
   EngineOptions run;
   run.deadline = Deadline::AfterSeconds(timeout);
-  run.threads = threads;
+  run.runtime.pool = pool;
   auto stats = engine.Run(db, catalog, q, run, &sink);
   ModeResult r;
   if (!stats.ok()) {
@@ -76,8 +77,9 @@ BenchRecord ModeRecord(const std::string& query_id, const ModeResult& r,
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const double timeout = flags.GetDouble("timeout", 30.0);
-  const uint32_t threads =
-      static_cast<uint32_t>(flags.GetInt("threads", 1));
+  ThreadPool pool(ThreadPool::ResolveThreads(
+      static_cast<uint32_t>(flags.GetInt("threads", 1))));
+  const uint32_t threads = pool.num_threads();
   JsonResultWriter json;
 
   std::cout << "=== Fig. 4: spurious edges in cyclic answer graphs ===\n\n";
@@ -88,10 +90,8 @@ int main(int argc, char** argv) {
     Catalog catalog = Catalog::Build(db.store());
     auto q = MakeFig4Query(db);
     if (!q.ok()) return 1;
-    ModeResult plain = RunMode(db, catalog, *q, false, false, timeout,
-                               threads);
-    ModeResult ideal = RunMode(db, catalog, *q, true, true, timeout,
-                               threads);
+    ModeResult plain = RunMode(db, catalog, *q, false, false, timeout, &pool);
+    ModeResult ideal = RunMode(db, catalog, *q, true, true, timeout, &pool);
     std::cout << "paper example: node burnback |AG| = " << plain.ag
               << " (paper: 10, incl. spurious <1,6>, <5,2>),\n"
               << "               edge burnback |iAG| = " << ideal.ag
@@ -113,12 +113,9 @@ int main(int argc, char** argv) {
   for (size_t i = 5; i < 10; ++i) {
     auto q = SparqlParser::ParseAndBind(texts[i], db);
     if (!q.ok()) return 1;
-    ModeResult plain = RunMode(db, catalog, *q, false, false, timeout,
-                               threads);
-    ModeResult chord = RunMode(db, catalog, *q, true, false, timeout,
-                               threads);
-    ModeResult ideal = RunMode(db, catalog, *q, true, true, timeout,
-                               threads);
+    ModeResult plain = RunMode(db, catalog, *q, false, false, timeout, &pool);
+    ModeResult chord = RunMode(db, catalog, *q, true, false, timeout, &pool);
+    ModeResult ideal = RunMode(db, catalog, *q, true, true, timeout, &pool);
     if (flags.Has("json")) {
       const std::string id = "T1-Q" + std::to_string(i + 1);
       json.Add(ModeRecord(id + "-nodebb", plain, threads));

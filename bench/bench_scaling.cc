@@ -60,7 +60,7 @@ struct SweepPoint {
 };
 
 SweepPoint RunWfPoint(const Database& db, const Catalog& catalog,
-                      const QueryGraph& q, uint32_t threads, int reps,
+                      const QueryGraph& q, ThreadPool* pool, int reps,
                       double timeout) {
   SweepPoint point;
   WireframeEngine engine;
@@ -68,7 +68,7 @@ SweepPoint RunWfPoint(const Database& db, const Catalog& catalog,
   for (int rep = 0; rep < std::max(1, reps); ++rep) {
     EngineOptions options;
     options.deadline = Deadline::AfterSeconds(timeout);
-    options.threads = threads;
+    options.runtime.pool = pool;
     CountingSink sink;
     auto detail = engine.RunDetailed(db, catalog, q, options, &sink);
     if (!detail.ok()) {
@@ -163,14 +163,13 @@ int RunThreadsSweep(const Flags& flags) {
     // both report the thread count the row actually ran with.
     const uint32_t threads =
         ThreadPool::ResolveThreads(static_cast<uint32_t>(t));
-    SweepPoint wf =
-        RunWfPoint(db, catalog, *q, threads, reps, timeout);
-
     BenchConfig bench;
     bench.timeout_seconds = timeout;
     bench.repetitions = reps;
     bench.threads = threads;
     Table1Harness harness(db, catalog, bench);
+    // WF and PG borrow the harness's one pool for this thread count.
+    SweepPoint wf = RunWfPoint(db, catalog, *q, &harness.pool(), reps, timeout);
     BenchCell pg = harness.RunCell(*q, "PG");
 
     // Each engine's speedups are relative to its first row that

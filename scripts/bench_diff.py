@@ -60,8 +60,9 @@ PHASE_FIELDS = (
 # result transport (a loopback-socket recording against an in-process
 # one measures the wire, not the engine) move every cell for reasons
 # that are not the code under test. Same for retry: a recording taken
-# through the retrying-client wrapper only compares against another one
-# (bench_net --retry).
+# through the retrying-client wrapper (BENCH_pr10_chaos.json) only
+# compares against another one. The checked-in recordings still carry
+# frozen, transport and retry, so all five keys stay.
 COMPARABILITY_KEYS = ("hardware_threads", "frozen", "cpu_features",
                       "transport", "retry")
 

@@ -3,7 +3,6 @@
 #include <ostream>
 
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace wireframe {
@@ -33,17 +32,15 @@ BenchCell Table1Harness::RunCell(const QueryGraph& query,
   std::unique_ptr<Engine> engine = MakeEngine(engine_name);
   WF_CHECK(engine != nullptr) << "unknown engine " << engine_name;
   // Record what the cell actually ran with: serial-only engines ignore
-  // the threads knob, and the JSON trajectory must not claim otherwise.
-  cell.threads = engine->SupportsThreads()
-                     ? ThreadPool::ResolveThreads(config_.threads)
-                     : 1;
+  // the pool, and the JSON trajectory must not claim otherwise.
+  cell.threads = engine->SupportsThreads() ? pool_.num_threads() : 1;
 
   double total_seconds = 0.0;
   int timed_runs = 0;
   for (int rep = 0; rep < std::max(1, config_.repetitions); ++rep) {
     EngineOptions options;
     options.deadline = Deadline::AfterSeconds(config_.timeout_seconds);
-    options.threads = config_.threads;
+    options.runtime.pool = &pool_;
     CountingSink sink;
     Stopwatch watch;
     Result<EngineStats> result =

@@ -12,6 +12,7 @@
 #include "query/query_graph.h"
 #include "storage/database.h"
 #include "util/table_printer.h"
+#include "util/thread_pool.h"
 
 namespace wireframe {
 
@@ -35,7 +36,7 @@ struct BenchConfig {
   int repetitions = 2;
   /// Print per-query phase diagnostics for WF.
   bool verbose = false;
-  /// Worker threads for every engine run (EngineOptions::threads: 1 =
+  /// Size of the one ThreadPool the harness lends to every engine run (1 =
   /// morsel loops inline on the calling thread, 0 = all hardware cores).
   uint32_t threads = 1;
   /// When set, RunSuite appends one BenchRecord per (query, engine) cell
@@ -49,7 +50,8 @@ struct BenchCell {
   bool timed_out = false;
   std::string error;
   double seconds = 0.0;
-  /// Resolved worker-thread count the cell ran with.
+  /// Worker threads the cell ran with: the pool size for engines that
+  /// use the pool, 1 for the serial baselines.
   uint32_t threads = 1;
   EngineStats stats;
   /// Wireframe phase breakdown, averaged over the warm repetitions like
@@ -67,12 +69,15 @@ BenchRecord ToRecord(const std::string& engine, const std::string& query_id,
 
 /// Runs every configured engine on every query and renders the paper's
 /// Table 1 layout: per-system time (or '*'), |AG| and |Embeddings| taken
-/// from the Wireframe run.
+/// from the Wireframe run. Every run borrows the harness's one pool.
 class Table1Harness {
  public:
   Table1Harness(const Database& db, const Catalog& catalog,
                 BenchConfig config)
-      : db_(&db), catalog_(&catalog), config_(std::move(config)) {}
+      : db_(&db),
+        catalog_(&catalog),
+        config_(std::move(config)),
+        pool_(ThreadPool::ResolveThreads(config_.threads)) {}
 
   /// Evaluates one cell (averaging warm repetitions).
   BenchCell RunCell(const QueryGraph& query, const std::string& engine_name);
@@ -80,10 +85,14 @@ class Table1Harness {
   /// Runs the whole suite and prints the table to `os`.
   void RunSuite(const std::vector<BenchQuery>& queries, std::ostream& os);
 
+  /// The pool every cell borrows; drivers may lend it to their own runs.
+  ThreadPool& pool() { return pool_; }
+
  private:
   const Database* db_;
   const Catalog* catalog_;
   BenchConfig config_;
+  ThreadPool pool_;
 };
 
 }  // namespace wireframe

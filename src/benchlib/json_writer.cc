@@ -88,10 +88,7 @@ std::string JsonResultWriter::ToJson() const {
        << ", \"phase2_seconds\": " << FormatDouble(r.phase2_seconds)
        << ", \"aggregate_seconds\": " << FormatDouble(r.aggregate_seconds)
        << ", \"p50_seconds\": " << FormatDouble(r.p50_seconds)
-       << ", \"p99_seconds\": " << FormatDouble(r.p99_seconds)
-       << ", \"cache_hits\": " << r.cache_hits
-       << ", \"cache_misses\": " << r.cache_misses
-       << ", \"cache_evictions\": " << r.cache_evictions << "}"
+       << ", \"p99_seconds\": " << FormatDouble(r.p99_seconds) << "}"
        << (i + 1 < records_.size() ? "," : "") << "\n";
   }
   if (!meta_.empty()) {

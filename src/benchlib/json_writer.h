@@ -32,14 +32,10 @@ struct BenchRecord {
   /// DP or the enumerate-then-count fold; 0 for plain SELECT cells).
   double aggregate_seconds = 0.0;
   /// Per-query latency percentiles of a concurrent-serving cell
-  /// (bench_concurrent; 0 when the cell is a single run).
+  /// (bench_priority's per-class latency rows; 0 when the cell is a
+  /// single run).
   double p50_seconds = 0.0;
   double p99_seconds = 0.0;
-  /// Answer-graph cache counters of a cached serving cell
-  /// (bench_concurrent --zipf; all 0 when the cache is off).
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_evictions = 0;
 };
 
 /// Collects BenchRecords and serializes them as a JSON array. No external

@@ -7,8 +7,7 @@ namespace wireframe {
 
 Status WireframeEngine::EmitEmbeddings(const QueryGraph& query,
                                        const AnswerGraph& ag,
-                                       const EngineOptions& options,
-                                       ThreadPool* pool, Sink* sink,
+                                       const EngineOptions& options, Sink* sink,
                                        WireframeRunDetail* detail) {
   bool emitted_by_bushy = false;
   if (options_.bushy_phase2) {
@@ -18,7 +17,7 @@ Status WireframeEngine::EmitEmbeddings(const QueryGraph& query,
       BushyExecutor executor(query, ag);
       BushyExecutorOptions bushy_options;
       bushy_options.deadline = options.deadline;
-      bushy_options.pool = pool;
+      bushy_options.pool = options.runtime.pool;
       bushy_options.cancel = options.runtime.cancel;
       bushy_options.weight = options.runtime.weight;
       WF_ASSIGN_OR_RETURN(detail->phase2_stats,
@@ -36,7 +35,7 @@ Status WireframeEngine::EmitEmbeddings(const QueryGraph& query,
     DefactorizerOptions defac_options;
     defac_options.deadline = options.deadline;
     defac_options.use_chords = options_.chords_in_phase2;
-    defac_options.pool = pool;
+    defac_options.pool = options.runtime.pool;
     defac_options.cancel = options.runtime.cancel;
     defac_options.weight = options.runtime.weight;
     WF_ASSIGN_OR_RETURN(
@@ -48,12 +47,11 @@ Status WireframeEngine::EmitEmbeddings(const QueryGraph& query,
 
 Status WireframeEngine::ExecutePhase2(const QueryGraph& query,
                                       const AnswerGraph& ag,
-                                      const EngineOptions& options,
-                                      ThreadPool* pool, Sink* sink,
+                                      const EngineOptions& options, Sink* sink,
                                       WireframeRunDetail* detail) {
   const AggregateSpec& spec = query.aggregate();
   if (spec.kind == AggregateKind::kNone) {
-    return EmitEmbeddings(query, ag, options, pool, sink, detail);
+    return EmitEmbeddings(query, ag, options, sink, detail);
   }
   Stopwatch aggregate_watch;
   detail->has_aggregate = true;
@@ -64,7 +62,7 @@ Status WireframeEngine::ExecutePhase2(const QueryGraph& query,
     AggregateExecutor executor(query, ag);
     AggregateExecutorOptions exec_options;
     exec_options.deadline = options.deadline;
-    exec_options.pool = pool;
+    exec_options.pool = options.runtime.pool;
     exec_options.cancel = options.runtime.cancel;
     exec_options.weight = options.runtime.weight;
     WF_ASSIGN_OR_RETURN(detail->aggregate,
@@ -72,7 +70,7 @@ Status WireframeEngine::ExecutePhase2(const QueryGraph& query,
   } else {
     EnumeratingAggregateSink fold(spec);
     const Status enumerated =
-        EmitEmbeddings(query, ag, options, pool, &fold, detail);
+        EmitEmbeddings(query, ag, options, &fold, detail);
     if (!enumerated.ok()) return enumerated;
     detail->aggregate = fold.TakeResult();
     detail->aggregate.fallback_reason = plan.reason;
@@ -89,13 +87,6 @@ Result<WireframeRunDetail> WireframeEngine::RunDetailed(
     const EngineOptions& options, Sink* sink) {
   WireframeRunDetail detail;
   Stopwatch total;
-
-  // One pool serves both phases: the shared runtime pool when this run is
-  // part of a QueryRuntime, otherwise a private pool, or the inline pool
-  // at threads == 1 (the default).
-  PoolLease lease(options);
-  ThreadPool* pool = lease.get();
-  detail.threads = lease.threads();
 
   // --- Planning: Edgifier (+ Triangulator for cyclic queries). ---
   Stopwatch plan_watch;
@@ -124,14 +115,14 @@ Result<WireframeRunDetail> WireframeEngine::RunDetailed(
   gen_options.edge_burnback = options_.edge_burnback;
   gen_options.lookahead = options_.lookahead;
   gen_options.deadline = options.deadline;
-  gen_options.pool = pool;
+  gen_options.pool = options.runtime.pool;
   gen_options.cancel = options.runtime.cancel;
   gen_options.weight = options.runtime.weight;
   AgGenerator generator(db, catalog);
   WF_ASSIGN_OR_RETURN(GeneratorResult gen,
                       generator.Generate(query, detail.ag_plan, gen_options));
   const Stopwatch freeze_watch;
-  gen.ag->Freeze(pool, options.runtime.weight);
+  gen.ag->Freeze(options.runtime.pool, options.runtime.weight);
   detail.stats.freeze_seconds = freeze_watch.ElapsedSeconds();
   detail.stats.phase1_seconds = phase1_watch.ElapsedSeconds();
   detail.stats.burnback_seconds = gen.burnback_seconds;
@@ -141,7 +132,7 @@ Result<WireframeRunDetail> WireframeEngine::RunDetailed(
   Stopwatch phase2_watch;
   {
     const Status phase2 =
-        ExecutePhase2(query, *gen.ag, options, pool, sink, &detail);
+        ExecutePhase2(query, *gen.ag, options, sink, &detail);
     if (!phase2.ok()) return phase2;
   }
   detail.stats.phase2_seconds = phase2_watch.ElapsedSeconds();
@@ -166,15 +157,11 @@ Result<WireframeRunDetail> WireframeEngine::RunOverAg(
   WireframeRunDetail detail;
   Stopwatch total;
 
-  PoolLease lease(options);
-  ThreadPool* pool = lease.get();
-  detail.threads = lease.threads();
   detail.cyclic = !AnalyzeShape(query).acyclic;
 
   Stopwatch phase2_watch;
   {
-    const Status phase2 =
-        ExecutePhase2(query, ag, options, pool, sink, &detail);
+    const Status phase2 = ExecutePhase2(query, ag, options, sink, &detail);
     if (!phase2.ok()) return phase2;
   }
   detail.stats.phase2_seconds = phase2_watch.ElapsedSeconds();

@@ -49,9 +49,6 @@ struct WireframeRunDetail {
   DefactorizerStats phase2_stats;
   /// True if the bushy executor produced the embeddings.
   bool used_bushy = false;
-  /// Resolved worker-thread count the run used (EngineOptions::threads
-  /// with 0 mapped to the hardware core count).
-  uint32_t threads = 1;
   uint64_t chord_pairs = 0;
   bool cyclic = false;
   /// The answer graph, frozen (query-edge sets live; chords included
@@ -118,13 +115,13 @@ class WireframeEngine : public Engine {
   /// executors. Delivers aggregate results to `sink` when it is an
   /// AggregateSink.
   Status ExecutePhase2(const QueryGraph& query, const AnswerGraph& ag,
-                       const EngineOptions& options, ThreadPool* pool,
-                       Sink* sink, WireframeRunDetail* detail);
+                       const EngineOptions& options, Sink* sink,
+                       WireframeRunDetail* detail);
   /// The plain embedding-enumeration phase 2 (bushy when configured and
   /// plannable, pipelined defactorizer otherwise).
   Status EmitEmbeddings(const QueryGraph& query, const AnswerGraph& ag,
-                        const EngineOptions& options, ThreadPool* pool,
-                        Sink* sink, WireframeRunDetail* detail);
+                        const EngineOptions& options, Sink* sink,
+                        WireframeRunDetail* detail);
 
   WireframeOptions options_;
 };

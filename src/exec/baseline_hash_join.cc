@@ -1,8 +1,5 @@
-#include <memory>
-
 #include "exec/baselines.h"
 #include "exec/join_common.h"
-#include "util/thread_pool.h"
 
 namespace wireframe {
 
@@ -13,13 +10,12 @@ Result<EngineStats> HashJoinEngine::Run(const Database& db,
                                         Sink* sink) {
   CardinalityEstimator estimator(catalog);
   const std::vector<uint32_t> order = OrderByEstimatedGrowth(query, estimator);
-  // The build side of every join step runs in morsels on the leased pool
-  // (Table-1 stays apples-to-apples with the parallel Wireframe phases);
-  // threads==1 with no shared runtime runs them inline.
-  PoolLease lease(options);
+  // The build side of every join step runs in morsels on the borrowed
+  // pool (Table-1 stays apples-to-apples with the parallel Wireframe
+  // phases); a null pool runs them inline.
   return RunMaterializing(db, query, order, options.deadline,
                           options.runtime.cancel, kMaxCells, sink,
-                          lease.get(), options.runtime.weight);
+                          options.runtime.pool, options.runtime.weight);
 }
 
 }  // namespace wireframe

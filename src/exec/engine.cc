@@ -2,29 +2,10 @@
 
 #include "core/wireframe.h"
 #include "exec/baselines.h"
-#include "util/thread_pool.h"
 
 namespace wireframe {
 
 Engine::~Engine() = default;
-
-PoolLease::PoolLease(const EngineOptions& options) {
-  if (options.runtime.pool != nullptr) {
-    pool_ = options.runtime.pool;
-    return;
-  }
-  const uint32_t threads = ThreadPool::ResolveThreads(options.threads);
-  if (threads > 1) {
-    owned_ = std::make_unique<ThreadPool>(threads);
-    pool_ = owned_.get();
-  } else {
-    pool_ = InlinePool();
-  }
-}
-
-PoolLease::~PoolLease() = default;
-
-uint32_t PoolLease::threads() const { return pool_->num_threads(); }
 
 std::unique_ptr<Engine> MakeEngine(std::string_view name) {
   if (name == "WF") return std::make_unique<WireframeEngine>();

@@ -18,25 +18,28 @@ namespace wireframe {
 
 class ThreadPool;
 
-/// Ties one engine Run into a shared query runtime. Both fields are
-/// borrowed (the runtime outlives the Run) and both may be null: a null
-/// pool means the engine owns its parallelism (EngineOptions::threads),
-/// a null cancel means the run cannot be revoked.
+/// Ties one engine Run into a worker pool and, optionally, a shared query
+/// runtime. Every field is borrowed (the owner outlives the Run) and may
+/// be left at its default.
 struct RuntimeHandle {
-  /// Process-wide worker pool shared by every in-flight query. When set,
-  /// EngineOptions::threads is ignored and every morsel-parallel loop of
-  /// the run is submitted to this pool as a fairly-scheduled task-group,
-  /// interleaving with the other queries' loops at morsel granularity.
+  /// The worker pool every morsel-parallel loop of the run is submitted
+  /// to, as a fairly-scheduled task-group that interleaves with other
+  /// callers' loops at morsel granularity. This is the only way to give a
+  /// run threads: a query runtime lends its shared pool, a standalone
+  /// caller builds a ThreadPool(n) and lends it to as many runs as it
+  /// likes. Null runs every loop inline on the calling thread
+  /// (InlinePool). Results are pool-size-invariant: the embedding
+  /// multiset and |AG| are identical for every pool.
   ThreadPool* pool = nullptr;
   /// Cooperative cancellation: engines poll this flag on the same
   /// amortized cadence as the deadline and return Status::Cancelled once
   /// it is set. Results already emitted to the sink stay emitted.
   std::atomic<bool>* cancel = nullptr;
-  /// Scheduler weight of every task-group this run submits to the shared
-  /// pool (service class, see runtime::TenantSpec): pool workers divide
+  /// Scheduler weight of every task-group this run submits to `pool`
+  /// (service class, see runtime::TenantSpec): pool workers divide
   /// themselves between concurrent queries' morsel loops in proportion to
   /// this, so a latency-class run preempts batch runs at morsel
-  /// granularity without starving them. Ignored when `pool` is null.
+  /// granularity without starving them.
   uint32_t weight = 1;
 };
 
@@ -45,41 +48,9 @@ struct EngineOptions {
   /// Wall-clock budget; expired runs return Status::TimedOut (the paper
   /// terminates queries at 300 s and prints '*').
   Deadline deadline;
-  /// Worker threads for the morsel-driven parallel phases (Wireframe
-  /// generation and defactorization, the hash-join baseline's build
-  /// side). 1 runs the same morsel loops inline on the calling thread;
-  /// 0 means one thread per hardware core. Results are
-  /// thread-count-invariant: the embedding multiset and |AG| are
-  /// identical for every value. Ignored when `runtime.pool` is set —
-  /// the shared pool's size governs.
-  uint32_t threads = 1;
-  /// Shared-runtime variant: borrowed pool + cancellation (see
-  /// RuntimeHandle). Default-empty keeps the historical one-pool-per-Run
-  /// behavior.
+  /// Borrowed worker pool, cancellation flag and scheduler weight (see
+  /// RuntimeHandle). Default-empty runs inline and cannot be revoked.
   RuntimeHandle runtime;
-};
-
-/// Resolves EngineOptions to the worker pool a Run should use: the shared
-/// runtime pool when one is handed in, otherwise a privately owned pool
-/// when threads > 1, otherwise the process-wide inline pool
-/// (InlinePool). Never null. Engines hold one lease for the duration of
-/// Run.
-class PoolLease {
- public:
-  explicit PoolLease(const EngineOptions& options);
-  ~PoolLease();
-
-  PoolLease(const PoolLease&) = delete;
-  PoolLease& operator=(const PoolLease&) = delete;
-
-  /// The pool to run morsel loops on.
-  ThreadPool* get() const { return pool_; }
-  /// Worker slots available to this run.
-  uint32_t threads() const;
-
- private:
-  ThreadPool* pool_ = nullptr;
-  std::unique_ptr<ThreadPool> owned_;
 };
 
 /// Execution metrics an engine reports alongside its results.
@@ -128,10 +99,11 @@ class Engine {
   /// Short identifier ("WF", "PG", "VT", "MD", "NJ").
   virtual std::string_view name() const = 0;
 
-  /// True iff Run reads EngineOptions::threads (Wireframe's two phases
-  /// and the hash-join baseline's build side). The pipelined baselines
-  /// are inherently tuple-at-a-time and stay serial; benches use this to
-  /// record the thread count a cell actually ran with.
+  /// True iff Run submits morsel loops to `options.runtime.pool`
+  /// (Wireframe's two phases and the hash-join baseline's build side).
+  /// The pipelined baselines are inherently tuple-at-a-time and stay
+  /// serial; benches use this to record the thread count a cell actually
+  /// ran with.
   virtual bool SupportsThreads() const { return false; }
 
   /// Evaluates `query` over `db`, emitting every embedding to `sink`.

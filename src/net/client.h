@@ -57,7 +57,7 @@ struct QueryResult {
   runtime::QueryReport report;
 };
 
-/// Blocking client of net::SocketServer — used by tests, bench_net, the
+/// Blocking client of net::SocketServer — used by tests, wf_bench, the
 /// CI e2e driver, and `wf_shell --connect`. Not thread-safe; one query
 /// in flight at a time (the protocol's rule, too).
 class Client {

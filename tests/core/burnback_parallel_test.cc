@@ -20,6 +20,7 @@
 #include "query/parser.h"
 #include "testutil/fixtures.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace wireframe {
 namespace {
@@ -183,7 +184,8 @@ TEST(BurnbackParallelTest, EngineResultsUnaffectedByParallelBurnback) {
     WireframeEngine engine(wf_options);
     CollectingSink sink;
     EngineOptions options;
-    options.threads = threads;
+    ThreadPool pool(threads);
+    options.runtime.pool = &pool;
     auto detail = engine.RunDetailed(db, cat, *q, options, &sink);
     EXPECT_TRUE(detail.ok()) << detail.status().ToString();
     std::set<std::vector<NodeId>> rows(sink.rows().begin(),

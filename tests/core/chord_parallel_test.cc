@@ -12,6 +12,7 @@
 #include "query/parser.h"
 #include "query/shape.h"
 #include "testutil/fixtures.h"
+#include "util/thread_pool.h"
 
 namespace wireframe {
 namespace {
@@ -28,7 +29,8 @@ ChordRun RunWf(const Database& db, const Catalog& cat, const QueryGraph& q,
   WireframeEngine engine;
   CollectingSink sink;
   EngineOptions options;
-  options.threads = threads;
+  ThreadPool pool(threads);
+  options.runtime.pool = &pool;
   auto detail = engine.RunDetailed(db, cat, q, options, &sink);
   EXPECT_TRUE(detail.ok()) << detail.status().ToString();
   ChordRun run;
@@ -114,7 +116,8 @@ TEST(ChordParallelTest, ChordMaterializationHonorsDeadline) {
     WireframeEngine engine;
     CountingSink sink;
     EngineOptions options;
-    options.threads = threads;
+    ThreadPool pool(threads);
+    options.runtime.pool = &pool;
     options.deadline = Deadline::AlreadyExpired();
     auto stats = engine.Run(db, cat, *q, options, &sink);
     ASSERT_FALSE(stats.ok());

@@ -14,6 +14,7 @@
 #include "query/parser.h"
 #include "query/shape.h"
 #include "testutil/fixtures.h"
+#include "util/thread_pool.h"
 
 namespace wireframe {
 namespace {
@@ -180,7 +181,7 @@ TEST(WireframeEngineTest, DisconnectedQueryRejected) {
 }
 
 // A cancel flag raised before the run makes it return kCancelled at every
-// pool size. At threads=1 the morsel loops run inline on the caller, so
+// pool size. On a one-thread pool the morsel loops run inline, so
 // ParallelFor's per-morsel check is what serves the flag there too. Each
 // case also runs phase 2 alone (RunOverAg over the uncancelled run's
 // frozen AG), so the defactorizer, the bushy executor and the counting DP
@@ -222,7 +223,9 @@ TEST(WireframeEngineTest, CancelFlagStopsEveryStage) {
                                         &reference_sink);
     ASSERT_TRUE(reference.ok()) << c.what;
     EXPECT_GT(reference->stats.ag_pairs, 0u) << c.what;
-    if (c.db == &square) EXPECT_GT(reference->chord_pairs, 0u) << c.what;
+    if (c.db == &square) {
+      EXPECT_GT(reference->chord_pairs, 0u) << c.what;
+    }
     EXPECT_EQ(reference->used_bushy, c.bushy) << c.what;
     if (reference->has_aggregate) {
       EXPECT_TRUE(reference->aggregate.factorized) << c.what;
@@ -231,7 +234,8 @@ TEST(WireframeEngineTest, CancelFlagStopsEveryStage) {
     for (uint32_t threads : {1u, 4u}) {
       std::atomic<bool> cancel{true};
       EngineOptions options;
-      options.threads = threads;
+      ThreadPool pool(threads);
+      options.runtime.pool = &pool;
       options.runtime.cancel = &cancel;
       CountingSink sink;
       auto run = engine.Run(*c.db, *c.cat, *q, options, &sink);

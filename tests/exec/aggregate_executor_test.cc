@@ -8,6 +8,7 @@
 #include "datagen/synthetic.h"
 #include "query/parser.h"
 #include "testutil/fixtures.h"
+#include "util/thread_pool.h"
 
 namespace wireframe {
 namespace {
@@ -21,7 +22,8 @@ WireframeRunDetail RunAggregate(const Database& db, const Catalog& cat,
   EXPECT_TRUE(q.ok()) << q.status().ToString();
   WireframeEngine engine(wf_options);
   EngineOptions options;
-  options.threads = threads;
+  ThreadPool pool(threads);
+  options.runtime.pool = &pool;
   CollectingAggregateSink sink;
   auto detail = engine.RunDetailed(db, cat, *q, options, &sink);
   EXPECT_TRUE(detail.ok()) << detail.status().ToString();

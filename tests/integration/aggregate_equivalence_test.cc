@@ -16,6 +16,7 @@
 #include "query/parser.h"
 #include "runtime/query_runtime.h"
 #include "testutil/fixtures.h"
+#include "util/thread_pool.h"
 
 namespace wireframe {
 namespace {
@@ -51,7 +52,8 @@ void ExpectAggregateEquivalent(const Database& db, const Catalog& cat,
       wf_options.bushy_phase2 = bushy;
       WireframeEngine engine(wf_options);
       EngineOptions options;
-      options.threads = threads;
+      ThreadPool pool(threads);
+      options.runtime.pool = &pool;
       CollectingAggregateSink sink;
       auto detail = engine.RunDetailed(db, cat, *q, options, &sink);
       ASSERT_TRUE(detail.ok())

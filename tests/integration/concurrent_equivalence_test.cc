@@ -34,12 +34,12 @@ struct SerialRun {
   uint64_t ag_pairs = 0;
 };
 
-/// Ground truth: the historical path — one engine, threads=1, no runtime.
+/// Ground truth: one engine, no runtime, no pool (every loop inline).
 SerialRun RunSerial(const Database& db, const Catalog& cat,
                     const QueryGraph& q) {
   WireframeEngine engine;
   CollectingSink sink;
-  EngineOptions options;  // threads = 1: exact serial paths
+  EngineOptions options;  // null pool: morsel loops run inline
   auto stats = engine.Run(db, cat, q, options, &sink);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   SerialRun run;

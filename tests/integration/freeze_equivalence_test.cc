@@ -17,6 +17,7 @@
 #include "query/shape.h"
 #include "testutil/fixtures.h"
 #include "util/hash.h"
+#include "util/thread_pool.h"
 
 namespace wireframe {
 namespace {
@@ -56,7 +57,8 @@ WfRun RunWf(const Database& db, const Catalog& cat, const QueryGraph& q,
   WireframeEngine engine(wf_options);
   CollectingSink sink;
   EngineOptions options;
-  options.threads = threads;
+  ThreadPool pool(threads);
+  options.runtime.pool = &pool;
   auto detail = engine.RunDetailed(db, cat, q, options, &sink);
   EXPECT_TRUE(detail.ok()) << detail.status().ToString();
   WfRun run;

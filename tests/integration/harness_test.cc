@@ -68,6 +68,24 @@ TEST_F(HarnessTest, SuiteRendersEveryRowAndColumn) {
   }
 }
 
+// The harness lends its one pool to every cell: the engines that use it
+// record its size, the serial baselines record 1, and every engine
+// reports the same embeddings.
+TEST_F(HarnessTest, CellsRecordThePoolSizeTheyRanWith) {
+  BenchConfig config;
+  config.repetitions = 1;
+  config.timeout_seconds = 30;
+  config.threads = 2;
+  Table1Harness harness(db_, cat_, config);
+  for (const std::string& engine : AllEngineNames()) {
+    BenchCell cell = harness.RunCell(Chain(), engine);
+    ASSERT_TRUE(cell.ok) << engine << ": " << cell.error;
+    const bool pooled = engine == "WF" || engine == "PG";
+    EXPECT_EQ(cell.threads, pooled ? 2u : 1u) << engine;
+    EXPECT_EQ(cell.stats.output_tuples, kFig1Embeddings) << engine;
+  }
+}
+
 TEST_F(HarnessTest, UnknownEngineChecks) {
   BenchConfig config;
   Table1Harness harness(db_, cat_, config);

@@ -17,6 +17,7 @@
 #include "query/parser.h"
 #include "testutil/fixtures.h"
 #include "util/span_kernels.h"
+#include "util/thread_pool.h"
 
 namespace wireframe {
 namespace {
@@ -49,7 +50,8 @@ KernelRun RunWithDispatch(const Database& db, const Catalog& cat,
   WireframeEngine engine(wf_options);
   CollectingSink sink;
   EngineOptions options;
-  options.threads = threads;
+  ThreadPool pool(threads);
+  options.runtime.pool = &pool;
   auto detail = engine.RunDetailed(db, cat, q, options, &sink);
   EXPECT_TRUE(detail.ok()) << detail.status().ToString();
   KernelRun run;

@@ -18,6 +18,7 @@
 #include "query/parser.h"
 #include "query/shape.h"
 #include "testutil/fixtures.h"
+#include "util/thread_pool.h"
 
 namespace wireframe {
 namespace {
@@ -33,7 +34,8 @@ WfRun RunWf(const Database& db, const Catalog& cat, const QueryGraph& q,
   WireframeEngine engine(wf_options);
   CollectingSink sink;
   EngineOptions options;
-  options.threads = threads;
+  ThreadPool pool(threads);
+  options.runtime.pool = &pool;
   auto detail = engine.RunDetailed(db, cat, q, options, &sink);
   EXPECT_TRUE(detail.ok()) << detail.status().ToString();
   WfRun run;
@@ -52,7 +54,8 @@ std::set<std::vector<NodeId>> RunEngine(const char* name, const Database& db,
   auto engine = MakeEngine(name);
   CollectingSink sink;
   EngineOptions options;
-  options.threads = threads;
+  ThreadPool pool(threads);
+  options.runtime.pool = &pool;
   auto stats = engine->Run(db, cat, q, options, &sink);
   EXPECT_TRUE(stats.ok()) << name << ": " << stats.status().ToString();
   return {sink.rows().begin(), sink.rows().end()};
@@ -179,7 +182,8 @@ TEST(ParallelEquivalenceTest, LimitSinkStopsParallelEnumeration) {
   WireframeEngine engine;
   LimitSink sink(10);
   EngineOptions options;
-  options.threads = 4;
+  ThreadPool pool(4);
+  options.runtime.pool = &pool;
   auto stats = engine.Run(db, cat, *q, options, &sink);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(sink.count(), 10u);
@@ -195,7 +199,8 @@ TEST(ParallelEquivalenceTest, ExpiredDeadlineTimesOutInParallel) {
   WireframeEngine engine;
   CountingSink sink;
   EngineOptions options;
-  options.threads = 4;
+  ThreadPool pool(4);
+  options.runtime.pool = &pool;
   options.deadline = Deadline::AlreadyExpired();
   auto stats = engine.Run(db, cat, *q, options, &sink);
   ASSERT_FALSE(stats.ok());
