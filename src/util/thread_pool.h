@@ -90,9 +90,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Maps an EngineOptions-style thread request to a concrete count:
-  /// 0 means hardware concurrency (at least 1), anything else is taken
-  /// as-is.
+  /// Maps a user-facing thread request (a --threads flag) to a concrete
+  /// count: 0 means hardware concurrency (at least 1), anything else is
+  /// taken as-is.
   static uint32_t ResolveThreads(uint32_t requested);
 
   uint32_t num_threads() const { return num_threads_; }
