@@ -1,3 +1,4 @@
+#include <iterator>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -87,6 +88,43 @@ TEST_F(Table1SmokeTest, SnowflakesFactorizeWell) {
     }
   }
   EXPECT_TRUE(found_factorization_win);
+}
+
+TEST_F(Table1SmokeTest, PhaseOneCountsArePinned) {
+  // Absolute phase-1 counters of the WF engine on all ten queries, at
+  // this suite's scale and seed. Burnback is a confluent fixpoint, so
+  // |AG|, pairs burned and rows do not depend on the answer graph's
+  // internal layout or on candidate order; edge walks charge one per
+  // scanned neighbor. A change to any of them is a behaviour change.
+  struct Pinned {
+    uint64_t edge_walks;
+    uint64_t ag_pairs;
+    uint64_t pairs_burned;
+    uint64_t output_tuples;
+  };
+  const Pinned expected[] = {
+      {866, 302, 7, 3407},   {1506, 72, 93, 172},   {30, 0, 0, 0},
+      {1554, 27, 119, 220},  {3050, 347, 373, 1072}, {4173, 486, 348, 143},
+      {1965, 586, 151, 113}, {2146, 138, 298, 42},   {547, 38, 54, 10},
+      {816, 72, 82, 32},
+  };
+  std::vector<std::string> queries = Table1Queries();
+  ASSERT_EQ(queries.size(), std::size(expected));
+  auto wf = MakeEngine("WF");
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto q = SparqlParser::ParseAndBind(queries[i], *db_);
+    ASSERT_TRUE(q.ok()) << i;
+    CountingSink sink;
+    EngineOptions options;
+    options.deadline = Deadline::AfterSeconds(60);
+    auto stats = wf->Run(*db_, *cat_, *q, options, &sink);
+    ASSERT_TRUE(stats.ok()) << "query " << i;
+    EXPECT_EQ(stats->edge_walks, expected[i].edge_walks) << "query " << i;
+    EXPECT_EQ(stats->ag_pairs, expected[i].ag_pairs) << "query " << i;
+    EXPECT_EQ(stats->pairs_burned, expected[i].pairs_burned) << "query " << i;
+    EXPECT_EQ(stats->output_tuples, expected[i].output_tuples)
+        << "query " << i;
+  }
 }
 
 TEST_F(Table1SmokeTest, HarnessRendersTable) {
