@@ -2,6 +2,9 @@
 // burnback, and defactorization primitives whose costs the paper's edge
 // walk model abstracts.
 
+#include <utility>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "catalog/catalog.h"
@@ -82,29 +85,35 @@ void BM_CatalogBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CatalogBuild)->Unit(benchmark::kMillisecond);
 
-void BM_PairSetAdd(benchmark::State& state) {
+void BM_PairSetBuild(benchmark::State& state) {
+  // One extension level's worth of pairs in 256-pair morsel shards,
+  // (src, dst)-sorted as a forward extension delivers them; each
+  // iteration concatenates the shards and materializes the set.
   const uint32_t n = static_cast<uint32_t>(state.range(0));
+  QueryGraph q = ChainTemplate(1).Instantiate({0});
+  std::vector<PairSetShard> shards((n + 255) / 256);
+  for (uint32_t i = 0; i < n; ++i) {
+    shards[i / 256].Add(i / 8, 1000000 + (i % 8) * 3 + (i / 8) % 5);
+  }
   for (auto _ : state) {
-    PairSet set;
-    for (uint32_t i = 0; i < n; ++i) {
-      set.Add(i % 997, i % 1009);
-    }
-    benchmark::DoNotOptimize(set.Size());
+    AnswerGraph ag(q);
+    ag.Materialize(0, ConcatShards(shards));
+    benchmark::DoNotOptimize(ag.Set(0).Size());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_PairSetAdd)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_PairSetBuild)->Arg(1000)->Arg(100000);
 
 void BM_BurnbackCascade(benchmark::State& state) {
   const uint32_t fan = static_cast<uint32_t>(state.range(0));
   QueryGraph q = ChainTemplate(2).Instantiate({0, 1});
+  std::vector<std::pair<NodeId, NodeId>> first;
+  for (uint32_t i = 0; i < fan; ++i) first.emplace_back(i, 1000000);
   for (auto _ : state) {
     state.PauseTiming();
     AnswerGraph ag(q);
-    for (uint32_t i = 0; i < fan; ++i) ag.Set(0).Add(i, 1000000);
-    ag.MarkMaterialized(0);
-    ag.Set(1).Add(1000000, 2000000);
-    ag.MarkMaterialized(1);
+    ag.Materialize(0, first);
+    ag.Materialize(1, {{1000000, 2000000}});
     state.ResumeTiming();
     Burnback bb(&ag);
     bb.KillNode(q.FindVar("v2"), 2000000);
@@ -118,10 +127,11 @@ void BM_Defactorize(benchmark::State& state) {
   const uint32_t fan = static_cast<uint32_t>(state.range(0));
   QueryGraph q = ChainTemplate(2).Instantiate({0, 1});
   AnswerGraph ag(q);
-  for (uint32_t i = 0; i < fan; ++i) ag.Set(0).Add(i, 1000000);
-  for (uint32_t i = 0; i < fan; ++i) ag.Set(1).Add(1000000, 2000000 + i);
-  ag.MarkMaterialized(0);
-  ag.MarkMaterialized(1);
+  std::vector<std::pair<NodeId, NodeId>> first, second;
+  for (uint32_t i = 0; i < fan; ++i) first.emplace_back(i, 1000000);
+  for (uint32_t i = 0; i < fan; ++i) second.emplace_back(1000000, 2000000 + i);
+  ag.Materialize(0, std::move(first));
+  ag.Materialize(1, std::move(second));
   ag.Freeze();
   EmbeddingPlan plan;
   plan.join_order = {0, 1};

@@ -1,85 +1,108 @@
 #include "core/answer_graph.h"
 
 #include <algorithm>
-#include <iterator>
+#include <tuple>
 #include <utility>
 
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace wireframe {
 
-bool PairSet::Add(NodeId u, NodeId v) {
-  // Hard check in every build type: frozen sets are shared read-only
-  // across queries (runtime AG cache), so a mutation that only tripped a
-  // debug assert would be silent memory corruption in Release.
-  WF_CHECK(!frozen_) << "Add on a frozen PairSet";
-  if (!live_.Insert(PackPair(u, v))) return false;
-  fwd_[u].push_back(v);
-  bwd_[v].push_back(u);
-  if (++src_count_[u] == 1) ++distinct_src_;
-  if (++dst_count_[v] == 1) ++distinct_dst_;
-  return true;
+std::vector<std::pair<NodeId, NodeId>> ConcatShards(
+    std::span<const PairSetShard> shards) {
+  size_t total = 0;
+  for (const PairSetShard& shard : shards) total += shard.Size();
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  pairs.reserve(total);
+  for (const PairSetShard& shard : shards) {
+    pairs.insert(pairs.end(), shard.pairs().begin(), shard.pairs().end());
+  }
+  return pairs;
 }
 
-uint64_t PairSet::MergeShard(const PairSetShard& shard) {
-  uint64_t inserted = 0;
-  for (const auto& [u, v] : shard.pairs()) {
-    if (Add(u, v)) ++inserted;
+PairSet::PairSet(std::vector<std::pair<NodeId, NodeId>> pairs) {
+  // Orient the list as (key, neighbor), sorted: by (src, dst) as given,
+  // or by (dst, src) once each pair is flipped.
+  const bool src_major = std::is_sorted(pairs.begin(), pairs.end());
+  const bool dst_major =
+      !src_major &&
+      std::is_sorted(pairs.begin(), pairs.end(), [](auto a, auto b) {
+        return std::tie(a.second, a.first) < std::tie(b.second, b.first);
+      });
+  if (dst_major) {
+    for (auto& [u, v] : pairs) std::swap(u, v);
+  } else if (!src_major) {
+    std::sort(pairs.begin(), pairs.end());
   }
-  return inserted;
+  WF_DCHECK(std::adjacent_find(pairs.begin(), pairs.end()) == pairs.end())
+      << "PairSet input has duplicates";
+  const size_t n = pairs.size();
+  Csr sorted = Csr::BuildFromSorted(n, [&](size_t i) { return pairs[i]; });
+  // The other direction sorts (neighbor, position in `pairs`): among equal
+  // neighbors positions ascend with their keys, so the order is
+  // (neighbor, key), and each entry keeps its pair's position.
+  std::vector<uint64_t> order(n);
+  for (size_t i = 0; i < n; ++i) {
+    order[i] = PackPair(pairs[i].second, static_cast<NodeId>(i));
+  }
+  std::sort(order.begin(), order.end());
+  Csr other = Csr::BuildFromSorted(n, [&](size_t j) {
+    const auto [neighbor, i] = UnpackPair(order[j]);
+    return std::make_pair(neighbor, pairs[i].first);
+  });
+  bwd_to_fwd_.resize(n);
+  for (size_t j = 0; j < n; ++j) {
+    const uint32_t i = static_cast<uint32_t>(order[j]);
+    if (dst_major) {
+      bwd_to_fwd_[i] = static_cast<uint32_t>(j);
+    } else {
+      bwd_to_fwd_[j] = i;
+    }
+  }
+  fwd_ = std::move(dst_major ? other : sorted);
+  bwd_ = std::move(dst_major ? sorted : other);
+
+  for (auto [csr, counters] : {std::pair{&fwd_, &src_live_},
+                               std::pair{&bwd_, &dst_live_}}) {
+    counters->assign(csr->NumEntries(), 0);
+    for (size_t i = 0; i < csr->Nodes().size(); ++i) {
+      const Csr::Range r = csr->RangeAt(i);
+      (*counters)[r.begin] = r.end - r.begin;
+    }
+  }
+  live_.assign((n + 63) / 64, ~uint64_t{0});
+  size_ = n;
+  distinct_src_ = fwd_.Nodes().size();
+  distinct_dst_ = bwd_.Nodes().size();
 }
 
 bool PairSet::Erase(NodeId u, NodeId v) {
   WF_CHECK(!frozen_) << "Erase on a frozen PairSet";
-  if (!live_.Erase(PackPair(u, v))) return false;
-  uint32_t* su = src_count_.Find(u);
-  WF_DCHECK(su != nullptr && *su > 0);
-  if (--*su == 0) --distinct_src_;
-  uint32_t* dv = dst_count_.Find(v);
-  WF_DCHECK(dv != nullptr && *dv > 0);
-  if (--*dv == 0) --distinct_dst_;
+  const Csr::Range r = fwd_.RangeOf(u);
+  const std::span<const NodeId> span = fwd_.Slice(r);
+  const size_t i = SpanLowerBound(span, v);
+  if (i == span.size() || span[i] != v) return false;
+  const uint32_t k = r.begin + static_cast<uint32_t>(i);
+  if (!IsLive(k)) return false;
+  Drop(k, r.begin, bwd_.RangeOf(v).begin);
   return true;
 }
 
 void PairSet::Freeze() {
   if (frozen_) return;
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  pairs.reserve(live_.Size());
-  live_.ForEach([&](uint64_t key) {
-    pairs.push_back(UnpackPair(key));
-  });
-  // Release the build-form tables before building the CSRs: only `live_`
-  // was read, and dropping the adjacency/count tables here (instead of
-  // after) roughly halves the transient peak of freezing a large set —
-  // AnswerGraph::Freeze runs several sets concurrently on the pool.
-  live_ = PairKeySet();
-  fwd_ = NodeMap<std::vector<NodeId>>();
-  bwd_ = NodeMap<std::vector<NodeId>>();
-  src_count_ = NodeMap<uint32_t>();
-  dst_count_ = NodeMap<uint32_t>();
-  distinct_src_ = 0;
-  distinct_dst_ = 0;
-  fwd_csr_ = Csr::Build(std::move(pairs));
-  // Rebuild the reversed list from the forward CSR so `pairs` is gone
-  // before the second copy exists.
-  std::vector<std::pair<NodeId, NodeId>> reversed;
-  reversed.reserve(fwd_csr_.NumEntries());
-  fwd_csr_.ForEach([&](NodeId u, NodeId v) { reversed.emplace_back(v, u); });
-  bwd_csr_ = Csr::Build(std::move(reversed));
+  fwd_ = fwd_.Filtered([&](uint32_t k) { return IsLive(k); });
+  bwd_ = bwd_.Filtered([&](uint32_t j) { return IsLiveBwd(j); });
+  live_ = std::vector<uint64_t>();
+  bwd_to_fwd_ = std::vector<uint32_t>();
+  src_live_ = std::vector<uint32_t>();
+  dst_live_ = std::vector<uint32_t>();
+  WF_DCHECK(size_ == fwd_.NumEntries() &&
+            distinct_src_ == fwd_.Nodes().size() &&
+            distinct_dst_ == bwd_.Nodes().size())
+      << "PairSet counters drifted from its entries";
   frozen_ = true;
-}
-
-uint32_t PairSet::SrcCount(NodeId u) const {
-  if (frozen_) return static_cast<uint32_t>(fwd_csr_.Neighbors(u).size());
-  const uint32_t* count = src_count_.Find(u);
-  return count == nullptr ? 0 : *count;
-}
-
-uint32_t PairSet::DstCount(NodeId v) const {
-  if (frozen_) return static_cast<uint32_t>(bwd_csr_.Neighbors(v).size());
-  const uint32_t* count = dst_count_.Find(v);
-  return count == nullptr ? 0 : *count;
 }
 
 AnswerGraph::AnswerGraph(const QueryGraph& query)
@@ -111,16 +134,19 @@ uint32_t AnswerGraph::AddChordSlot(VarId u, VarId v) {
   return index;
 }
 
-void AnswerGraph::MarkMaterialized(uint32_t index) {
+void AnswerGraph::Materialize(uint32_t index,
+                              std::vector<std::pair<NodeId, NodeId>> pairs) {
   WF_CHECK(index < sets_.size());
+  WF_CHECK(!frozen_) << "Materialize on a frozen AnswerGraph";
+  WF_CHECK(!materialized_[index])
+      << "edge set " << index << " materialized twice";
+  sets_[index] = PairSet(std::move(pairs));
   materialized_[index] = true;
 }
 
 void AnswerGraph::Freeze(ThreadPool* pool, uint32_t weight) {
   if (frozen_) return;
   frozen_ = true;
-  // Freeze reads the live-pair index directly and drops the (possibly
-  // tombstoned) adjacency lists wholesale.
   if (pool == nullptr) pool = InlinePool();
   ParallelForOptions pf;
   pf.morsel_size = 1;
@@ -156,21 +182,21 @@ uint32_t AnswerGraph::CountAt(uint32_t index, VarId v, NodeId c) const {
   return sets_[index].DstCount(c);
 }
 
-bool AnswerGraph::IsAlive(VarId v, NodeId c) const {
+bool AnswerGraph::IsAlive(VarId v, NodeId c, uint32_t except) const {
   bool touched = false;
   for (uint32_t e : incident_[v]) {
-    if (!materialized_[e]) continue;
+    if (e == except || !materialized_[e]) continue;
     touched = true;
     if (CountAt(e, v, c) == 0) return false;
   }
   return touched;
 }
 
-uint32_t AnswerGraph::PilotSet(VarId v) const {
-  uint32_t best = UINT32_MAX;
+uint32_t AnswerGraph::PilotSet(VarId v, uint32_t except) const {
+  uint32_t best = kNoSet;
   uint64_t best_count = UINT64_MAX;
   for (uint32_t e : incident_[v]) {
-    if (!materialized_[e]) continue;
+    if (e == except || !materialized_[e]) continue;
     const uint64_t count = src_var_[e] == v ? sets_[e].DistinctSrcCount()
                                             : sets_[e].DistinctDstCount();
     if (count < best_count) {
@@ -178,13 +204,13 @@ uint32_t AnswerGraph::PilotSet(VarId v) const {
       best = e;
     }
   }
-  WF_CHECK(best != UINT32_MAX) << "ForEachCandidate on untouched variable";
   return best;
 }
 
 uint64_t AnswerGraph::CandidateCount(VarId v) const {
   uint64_t n = 0;
-  ForEachCandidate(v, [&](NodeId) { ++n; });
+  const bool touched = ForEachCandidate(v, [&](NodeId) { ++n; });
+  WF_CHECK(touched) << "CandidateCount on an untouched variable";
   return n;
 }
 

@@ -9,24 +9,20 @@
 #include "query/query_graph.h"
 #include "util/common.h"
 #include "util/csr.h"
-#include "util/flat_hash.h"
-#include "util/hash.h"
+#include "util/span_kernels.h"
 
 namespace wireframe {
 
 class ThreadPool;
 
-/// Thread-local builder for one morsel's share of a PairSet.
+/// Thread-local buffer for one morsel's share of an extension level.
 ///
-/// During parallel answer-graph generation each worker appends the pairs
-/// its morsel produced into a private shard — plain vector pushes, no
-/// synchronization, no hashing. At the level barrier the shards are
-/// merged into the shared PairSet in shard-index order; because morsel
-/// boundaries depend only on the frontier size and the morsel size, the
-/// merged insertion sequence is deterministic and identical for every
-/// thread count. The split keeps the PairSet itself single-writer: it is
-/// only ever mutated by the merging thread, which is what makes the rest
-/// of the read-mostly AnswerGraph safe to share across workers.
+/// During answer-graph generation each worker appends the pairs its
+/// morsel produced into a private shard — plain vector pushes, no
+/// synchronization. At the level barrier the shards concatenate in shard
+/// order (ConcatShards) into the list the level's PairSet is built from;
+/// because morsel boundaries depend only on the frontier size and the
+/// morsel size, that list is identical for every thread count.
 class PairSetShard {
  public:
   void Add(NodeId u, NodeId v) { pairs_.emplace_back(u, v); }
@@ -38,247 +34,258 @@ class PairSetShard {
   }
 
   /// Edge walks charged while filling this shard; summed into the
-  /// generator's counter at the merge barrier.
+  /// generator's counter at the level barrier.
   uint64_t edge_walks = 0;
 
  private:
   std::vector<std::pair<NodeId, NodeId>> pairs_;
 };
 
-/// The materialization of one query edge (or chord): a dynamic set of data
-/// node pairs with per-endpoint live counters and adjacency.
+/// The pairs of `shards`, concatenated in shard order.
+std::vector<std::pair<NodeId, NodeId>> ConcatShards(
+    std::span<const PairSetShard> shards);
+
+/// The materialization of one query edge (or chord): a set of data node
+/// pairs, built once and afterwards only shrunk.
 ///
-/// The set has two lifecycle forms:
+/// The set is two Csr directions over the same pairs (util/csr.h: sorted
+/// neighbor spans, prefix-offset indexed — the shape of the triple
+/// store's indexes), built once from the pair list of one extension level
+/// or chord. Phase 1 then deletes pairs, one at a time (edge burnback) or
+/// wholesale per endpoint node (node burnback), through a liveness
+/// overlay sized by the set, never by the dictionary:
 ///
-///   1. **Build form** (mutable, hash-indexed). Pairs can be deleted
-///      individually (edge burnback) or wholesale per endpoint node (node
-///      burnback); adjacency lists are append-only and filtered against
-///      the live-pair set on iteration, which keeps deletion O(1) per
-///      pair at the cost of a membership probe during scans — the classic
-///      tombstone trade-off, chosen because burnback deletes in bulk and
-///      never re-inserts.
-///   2. **Frozen form** (immutable, CSR-indexed). Freeze() converts the
-///      live pairs into forward/backward Csr arrays (util/csr.h: sorted
-///      neighbor spans, prefix-offset indexed, same shape as
-///      TripleStore::PredIndex) and releases the hash tables. Every read
-///      then scans cache-linear spans instead of probing hash tables;
-///      mutation is no longer allowed. Phase 2 — defactorization, the
-///      bushy executor's leaf scans and chord filters — reads the same
-///      pair sets millions of times after phase 1 stops mutating them,
-///      which is exactly the access pattern CSR wins on.
+///   - one live bit per forward entry;
+///   - for each backward entry, the position of its forward entry;
+///   - per-node live counters in each direction, kept at the node's span
+///     start, so a node's counter is one Csr lookup away.
 ///
-/// All build-form indexes are flat open-addressing tables
-/// (util/flat_hash.h); the node-pair insert path is the inner loop of
-/// answer-graph generation.
+/// Every reader scans spans and skips entries whose bit is clear; nothing
+/// is hashed. Freeze() compacts the live entries into fresh Csrs in one
+/// order-preserving pass and drops the overlay; a set without an overlay
+/// has every entry live, so the readers below serve both stages with one
+/// body. Phase 2 — defactorization, the bushy executor's leaf scans,
+/// chord filters, the counting DP — reads the frozen spans directly.
+///
+/// Mutators WF_CHECK that the set is not frozen, in every build type:
+/// frozen sets are shared read-only across queries (runtime AG cache), so
+/// a mutation that only tripped a debug assert would be silent memory
+/// corruption in Release.
 class PairSet {
  public:
+  /// The empty set an unmaterialized edge-set slot holds.
   PairSet() = default;
 
-  /// Inserts (u, v); returns false if already present. Must not be called
-  /// for a pair that was previously erased (adjacency lists would then
-  /// hold duplicates); generation never does.
-  bool Add(NodeId u, NodeId v);
+  /// Builds the set from `pairs`, which must be duplicate-free (checked
+  /// in debug builds; extension frontiers are distinct, store spans are
+  /// duplicate-free and chord lists are deduplicated). A list already
+  /// sorted by (src, dst) or by (dst, src) — what extension levels and
+  /// chord lists produce — becomes that direction's Csr as is, and only
+  /// the other direction is sorted; any other order is sorted first.
+  explicit PairSet(std::vector<std::pair<NodeId, NodeId>> pairs);
 
   /// True iff (u, v) is live.
   bool Contains(NodeId u, NodeId v) const {
-    if (frozen_) return fwd_csr_.Contains(u, v);
-    return live_.Contains(PackPair(u, v));
+    const Csr::Range r = fwd_.RangeOf(u);
+    const std::span<const NodeId> span = fwd_.Slice(r);
+    const size_t i = SpanLowerBound(span, v);
+    return i < span.size() && span[i] == v &&
+           IsLive(r.begin + static_cast<uint32_t>(i));
   }
-
-  /// Inserts every pair of `shard` (duplicates are ignored, as in Add).
-  /// Returns the number of pairs actually inserted. Single-writer: called
-  /// only from the merging thread at a level barrier.
-  uint64_t MergeShard(const PairSetShard& shard);
-
-  /// Pre-sizes the live-pair index for `n` pairs (bulk inserts whose
-  /// cardinality is known up front, e.g. canonicalized chord lists).
-  void Reserve(uint64_t n) { live_.Reserve(n); }
 
   /// Deletes (u, v); returns false if it was not live.
   bool Erase(NodeId u, NodeId v);
 
-  /// Erases every live pair (u, *) in one reverse sweep over u's
-  /// adjacency list — no snapshot; Erase itself is the tombstone filter.
-  /// Invokes fn(v) per erased pair and returns the number erased, which
-  /// is asserted equal to SrcCount(u) before the sweep (burnback's
-  /// accounting must stay exact). The list is cleared afterwards: u is
-  /// dead in this set and generation never re-adds erased pairs.
+  /// Erases every live pair (u, *) in one reverse sweep over u's span,
+  /// invoking fn(v) per erased pair after the counters have dropped.
+  /// Returns the number erased, which is checked equal to SrcCount(u)
+  /// before the sweep (burnback's accounting must stay exact).
   template <typename Fn>
   uint32_t EraseSrc(NodeId u, Fn&& fn) {
-    WF_CHECK(!frozen_) << "EraseSrc on a frozen PairSet";
-    std::vector<NodeId>* targets = fwd_.Find(u);
-    if (targets == nullptr) return 0;
-    const uint32_t live_before = SrcCount(u);
-    uint32_t erased = 0;
-    for (size_t i = targets->size(); i-- > 0;) {
-      const NodeId v = (*targets)[i];
-      if (Erase(u, v)) {
-        ++erased;
-        fn(v);
-      }
-    }
-    WF_DCHECK(erased == live_before) << "EraseSrc accounting drifted";
-    targets->clear();
-    return erased;
+    return EraseAll</*kAtSrc=*/true>(u, fn);
   }
 
   /// Mirror of EraseSrc for pairs (*, v); invokes fn(u) per erased pair.
   template <typename Fn>
   uint32_t EraseDst(NodeId v, Fn&& fn) {
-    WF_CHECK(!frozen_) << "EraseDst on a frozen PairSet";
-    std::vector<NodeId>* sources = bwd_.Find(v);
-    if (sources == nullptr) return 0;
-    const uint32_t live_before = DstCount(v);
-    uint32_t erased = 0;
-    for (size_t i = sources->size(); i-- > 0;) {
-      const NodeId u = (*sources)[i];
-      if (Erase(u, v)) {
-        ++erased;
-        fn(u);
-      }
-    }
-    WF_DCHECK(erased == live_before) << "EraseDst accounting drifted";
-    sources->clear();
-    return erased;
+    return EraseAll</*kAtSrc=*/false>(v, fn);
   }
 
-  /// Converts the set into its immutable frozen form: forward/backward
-  /// CSR arrays over the live pairs, hash tables released. Idempotent.
-  /// After this, Add/Erase/MergeShard are program errors; every reader
-  /// scans sorted spans. Iteration order changes from insertion order to
-  /// ascending — callers that freeze have left phase 1, where order was
-  /// load-bearing for determinism.
+  /// Compacts the live entries into fresh forward/backward Csrs (one
+  /// linear, order-preserving pass, no sort) and drops the overlay. The
+  /// result equals Csr::Build over the live pairs. Idempotent. After
+  /// this, Erase/EraseSrc/EraseDst are program errors.
   void Freeze();
 
-  /// True iff the set is in its frozen (CSR) form.
+  /// True iff the set is frozen (immutable, overlay dropped).
   bool IsFrozen() const { return frozen_; }
 
-  /// Heap bytes of the frozen CSR arrays (0 in build form — only frozen
+  /// Heap bytes of the frozen Csr arrays (0 before Freeze — only frozen
   /// sets are byte-accounted, for the runtime's AG cache quotas).
   uint64_t FrozenByteSize() const {
-    return frozen_ ? fwd_csr_.ByteSize() + bwd_csr_.ByteSize() : 0;
+    return frozen_ ? fwd_.ByteSize() + bwd_.ByteSize() : 0;
   }
 
   /// Number of live pairs.
-  uint64_t Size() const {
-    return frozen_ ? fwd_csr_.NumEntries() : live_.Size();
-  }
+  uint64_t Size() const { return size_; }
 
   /// Live pairs with source u / target v.
-  uint32_t SrcCount(NodeId u) const;
-  uint32_t DstCount(NodeId v) const;
+  uint32_t SrcCount(NodeId u) const {
+    return LiveCount(fwd_, src_live_, u);
+  }
+  uint32_t DstCount(NodeId v) const {
+    return LiveCount(bwd_, dst_live_, v);
+  }
 
   /// Distinct live sources / targets.
-  uint64_t DistinctSrcCount() const {
-    return frozen_ ? fwd_csr_.Nodes().size() : distinct_src_;
-  }
-  uint64_t DistinctDstCount() const {
-    return frozen_ ? bwd_csr_.Nodes().size() : distinct_dst_;
-  }
+  uint64_t DistinctSrcCount() const { return distinct_src_; }
+  uint64_t DistinctDstCount() const { return distinct_dst_; }
 
-  /// Raw frozen spans (program error before Freeze): the sorted
-  /// duplicate-free inputs the span kernels (util/span_kernels.h)
-  /// operate on. FwdNeighbors(u) = all v with (u, v) live;
-  /// BwdNeighbors(v) = all u. Spans stay valid as long as the set —
-  /// frozen sets are immutable.
+  /// Raw frozen spans (program error before Freeze, when they may still
+  /// hold erased entries): the sorted duplicate-free inputs the span
+  /// kernels (util/span_kernels.h) operate on. FwdNeighbors(u) = all v
+  /// with (u, v) live; BwdNeighbors(v) = all u. Spans stay valid as long
+  /// as the set — frozen sets are immutable.
   std::span<const NodeId> FwdNeighbors(NodeId u) const {
     WF_DCHECK(frozen_) << "FwdNeighbors on an unfrozen PairSet";
-    return fwd_csr_.Neighbors(u);
+    return fwd_.Neighbors(u);
   }
   std::span<const NodeId> BwdNeighbors(NodeId v) const {
     WF_DCHECK(frozen_) << "BwdNeighbors on an unfrozen PairSet";
-    return bwd_csr_.Neighbors(v);
+    return bwd_.Neighbors(v);
   }
 
-  /// The frozen CSR forms themselves, for batch entry points
+  /// The frozen Csrs themselves, for batch entry points
   /// (Csr::ContainsMany, positional scans). Program error before Freeze.
   const Csr& FwdCsr() const {
     WF_DCHECK(frozen_) << "FwdCsr on an unfrozen PairSet";
-    return fwd_csr_;
+    return fwd_;
   }
   const Csr& BwdCsr() const {
     WF_DCHECK(frozen_) << "BwdCsr on an unfrozen PairSet";
-    return bwd_csr_;
+    return bwd_;
   }
 
-  /// Invokes fn(v) for every live pair (u, v). Frozen: one sorted span
-  /// scan. Build form: the underlying list may contain tombstones; fn is
-  /// only called for live pairs.
+  /// Invokes fn(v) for every live pair (u, v), v ascending. fn may erase
+  /// from the set.
   template <typename Fn>
   void ForEachFwd(NodeId u, Fn&& fn) const {
-    if (frozen_) {
-      for (NodeId v : fwd_csr_.Neighbors(u)) fn(v);
-      return;
-    }
-    const std::vector<NodeId>* targets = fwd_.Find(u);
-    if (targets == nullptr) return;
-    for (NodeId v : *targets) {
-      if (Contains(u, v)) fn(v);
+    const Csr::Range r = fwd_.RangeOf(u);
+    const std::span<const NodeId> targets = fwd_.Entries();
+    for (uint32_t k = r.begin; k < r.end; ++k) {
+      if (IsLive(k)) fn(targets[k]);
     }
   }
 
-  /// Invokes fn(u) for every live pair (u, v).
+  /// Invokes fn(u) for every live pair (u, v), u ascending.
   template <typename Fn>
   void ForEachBwd(NodeId v, Fn&& fn) const {
-    if (frozen_) {
-      for (NodeId u : bwd_csr_.Neighbors(v)) fn(u);
-      return;
-    }
-    const std::vector<NodeId>* sources = bwd_.Find(v);
-    if (sources == nullptr) return;
-    for (NodeId u : *sources) {
-      if (Contains(u, v)) fn(u);
+    const Csr::Range r = bwd_.RangeOf(v);
+    const std::span<const NodeId> sources = bwd_.Entries();
+    for (uint32_t j = r.begin; j < r.end; ++j) {
+      if (IsLiveBwd(j)) fn(sources[j]);
     }
   }
 
-  /// Invokes fn(u, v) for every live pair (source-major ascending when
-  /// frozen; hash-slot order in build form).
+  /// Invokes fn(u, v) for every live pair, source-major ascending.
   template <typename Fn>
   void ForEachPair(Fn&& fn) const {
-    if (frozen_) {
-      fwd_csr_.ForEach(fn);
-      return;
-    }
-    live_.ForEach([&](uint64_t key) {
-      auto [u, v] = UnpackPair(key);
-      fn(u, v);
+    const std::span<const NodeId> targets = fwd_.Entries();
+    fwd_.ForEachEntry([&](NodeId u, uint32_t k) {
+      if (IsLive(k)) fn(u, targets[k]);
     });
   }
 
-  /// Invokes fn(u) for every distinct live source.
+  /// Invokes fn(u) for every distinct live source, ascending.
   template <typename Fn>
   void ForEachSrc(Fn&& fn) const {
-    if (frozen_) {
-      for (NodeId u : fwd_csr_.Nodes()) fn(u);
-      return;
-    }
-    src_count_.ForEach([&](NodeId u, const uint32_t& count) {
-      if (count > 0) fn(u);
-    });
+    ForEachLiveKey(fwd_, src_live_, fn);
   }
-  /// Invokes fn(v) for every distinct live target.
+  /// Invokes fn(v) for every distinct live target, ascending.
   template <typename Fn>
   void ForEachDst(Fn&& fn) const {
-    if (frozen_) {
-      for (NodeId v : bwd_csr_.Nodes()) fn(v);
-      return;
-    }
-    dst_count_.ForEach([&](NodeId v, const uint32_t& count) {
-      if (count > 0) fn(v);
-    });
+    ForEachLiveKey(bwd_, dst_live_, fn);
   }
 
  private:
-  PairKeySet live_;
-  NodeMap<std::vector<NodeId>> fwd_;
-  NodeMap<std::vector<NodeId>> bwd_;
-  NodeMap<uint32_t> src_count_;
-  NodeMap<uint32_t> dst_count_;
+  /// Forward entry k's live bit (every entry is live without an overlay).
+  bool IsLive(uint32_t k) const {
+    return live_.empty() || ((live_[k >> 6] >> (k & 63)) & 1) != 0;
+  }
+  /// Backward entry j's live bit, through its forward entry.
+  bool IsLiveBwd(uint32_t j) const {
+    return bwd_to_fwd_.empty() || IsLive(bwd_to_fwd_[j]);
+  }
+
+  /// Live entries of `key` in one direction: its counter, or its span
+  /// length without an overlay.
+  static uint32_t LiveCount(const Csr& csr,
+                            const std::vector<uint32_t>& counters,
+                            NodeId key) {
+    const Csr::Range r = csr.RangeOf(key);
+    if (r.empty()) return 0;
+    return counters.empty() ? r.end - r.begin : counters[r.begin];
+  }
+
+  /// Invokes fn(key), ascending, for every key of `csr` with a live entry.
+  template <typename Fn>
+  static void ForEachLiveKey(const Csr& csr,
+                             const std::vector<uint32_t>& counters,
+                             Fn& fn) {
+    const std::span<const NodeId> keys = csr.Nodes();
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (counters.empty() || counters[csr.RangeAt(i).begin] > 0) {
+        fn(keys[i]);
+      }
+    }
+  }
+
+  /// Body of EraseSrc (kAtSrc) and EraseDst: sweeps `key`'s span in its
+  /// own direction and reaches each entry's live bit through the forward
+  /// entry it mirrors.
+  template <bool kAtSrc, typename Fn>
+  uint32_t EraseAll(NodeId key, Fn& fn) {
+    WF_CHECK(!frozen_) << (kAtSrc ? "EraseSrc" : "EraseDst")
+                       << " on a frozen PairSet";
+    const Csr& own = kAtSrc ? fwd_ : bwd_;
+    const Csr& other = kAtSrc ? bwd_ : fwd_;
+    const Csr::Range r = own.RangeOf(key);
+    if (r.empty()) return 0;
+    const uint32_t live_before = (kAtSrc ? src_live_ : dst_live_)[r.begin];
+    uint32_t erased = 0;
+    for (uint32_t j = r.end; j-- > r.begin;) {
+      const uint32_t k = kAtSrc ? j : bwd_to_fwd_[j];
+      if (!IsLive(k)) continue;
+      const NodeId w = own.Entries()[j];
+      const uint32_t w_begin = other.RangeOf(w).begin;
+      Drop(k, kAtSrc ? r.begin : w_begin, kAtSrc ? w_begin : r.begin);
+      ++erased;
+      fn(w);
+    }
+    WF_DCHECK(erased == live_before) << "erase sweep accounting drifted";
+    return erased;
+  }
+
+  /// Clears live forward entry k, whose source span starts at src_begin
+  /// and whose target's backward span starts at dst_begin, and drops
+  /// every counter it contributed to.
+  void Drop(uint32_t k, uint32_t src_begin, uint32_t dst_begin) {
+    live_[k >> 6] &= ~(uint64_t{1} << (k & 63));
+    --size_;
+    if (--src_live_[src_begin] == 0) --distinct_src_;
+    if (--dst_live_[dst_begin] == 0) --distinct_dst_;
+  }
+
+  Csr fwd_;
+  Csr bwd_;
+  /// The overlay (empty once frozen, and for the empty set).
+  std::vector<uint64_t> live_;
+  std::vector<uint32_t> bwd_to_fwd_;
+  std::vector<uint32_t> src_live_;
+  std::vector<uint32_t> dst_live_;
+  uint64_t size_ = 0;
   uint64_t distinct_src_ = 0;
   uint64_t distinct_dst_ = 0;
-  /// Frozen form (populated by Freeze; empty before).
-  Csr fwd_csr_;
-  Csr bwd_csr_;
   bool frozen_ = false;
 };
 
@@ -317,16 +324,20 @@ class AnswerGraph {
   VarId SrcVar(uint32_t index) const { return src_var_[index]; }
   VarId DstVar(uint32_t index) const { return dst_var_[index]; }
 
-  /// Marks an edge set materialized (it now constrains its endpoints).
-  void MarkMaterialized(uint32_t index);
+  /// Builds edge set `index` from `pairs` (see PairSet's constructor for
+  /// the input contract) and marks it materialized: it now constrains its
+  /// endpoints. A set is materialized once — one extension level or one
+  /// chord; a second call is a program error.
+  void Materialize(uint32_t index,
+                   std::vector<std::pair<NodeId, NodeId>> pairs);
   bool IsMaterialized(uint32_t index) const { return materialized_[index]; }
 
-  /// Freezes every edge set into its immutable CSR form (see
-  /// PairSet::Freeze). Call once phase 1 — including the final burnback —
-  /// is over; phase 2 then reads sorted spans instead of hash tables.
-  /// Sets freeze independently, one set per morsel on `pool` (borrowed;
-  /// null runs on InlinePool); `weight` is the task-group scheduler share
-  /// on a shared pool. Idempotent.
+  /// Freezes every edge set (see PairSet::Freeze). Call once phase 1 —
+  /// including the final burnback — is over; phase 2 then reads the
+  /// compacted spans with no liveness overlay. Sets freeze independently,
+  /// one set per morsel on `pool` (borrowed; null runs on InlinePool);
+  /// `weight` is the task-group scheduler share on a shared pool.
+  /// Idempotent.
   void Freeze(ThreadPool* pool = nullptr, uint32_t weight = 1);
 
   /// True iff Freeze has run.
@@ -344,28 +355,34 @@ class AnswerGraph {
   /// True iff any incident edge set of v is materialized.
   bool IsTouched(VarId v) const;
 
-  /// True iff node c is alive at variable v (see class comment). Only
-  /// meaningful for touched variables.
-  bool IsAlive(VarId v, NodeId c) const;
+  /// "No edge set": the default `except` below.
+  static constexpr uint32_t kNoSet = UINT32_MAX;
+
+  /// True iff node c is alive at variable v (see class comment), judged
+  /// by v's materialized incident sets other than `except`; false if
+  /// there are none.
+  bool IsAlive(VarId v, NodeId c, uint32_t except = kNoSet) const;
 
   /// Number of live pairs incident to (v, c) in edge set `index`.
   uint32_t CountAt(uint32_t index, VarId v, NodeId c) const;
 
-  /// Invokes fn(c) for every node alive at v. Iterates the materialized
-  /// incident set with the fewest distinct nodes on v's side and filters
-  /// by IsAlive. Requires IsTouched(v).
+  /// Invokes fn(c), ascending, for every node alive at v (IsAlive with the
+  /// same `except`). Iterates the materialized incident set other than
+  /// `except` with the fewest distinct nodes on v's side and filters by
+  /// IsAlive; returns false, visiting nothing, if there is no such set.
   template <typename Fn>
-  void ForEachCandidate(VarId v, Fn&& fn) const {
-    const uint32_t pilot = PilotSet(v);
-    const PairSet& set = sets_[pilot];
+  bool ForEachCandidate(VarId v, Fn&& fn, uint32_t except = kNoSet) const {
+    const uint32_t pilot = PilotSet(v, except);
+    if (pilot == kNoSet) return false;
     auto visit = [&](NodeId c) {
-      if (IsAlive(v, c)) fn(c);
+      if (IsAlive(v, c, except)) fn(c);
     };
     if (src_var_[pilot] == v) {
-      set.ForEachSrc(visit);
+      sets_[pilot].ForEachSrc(visit);
     } else {
-      set.ForEachDst(visit);
+      sets_[pilot].ForEachDst(visit);
     }
+    return true;
   }
 
   /// Number of nodes alive at v (linear scan; diagnostics and tests).
@@ -379,8 +396,9 @@ class AnswerGraph {
   std::vector<AgEdgeStats> Stats() const;
 
  private:
-  /// The materialized incident set of v with fewest distinct nodes at v.
-  uint32_t PilotSet(VarId v) const;
+  /// The materialized incident set of v other than `except` with the
+  /// fewest distinct nodes at v, or kNoSet.
+  uint32_t PilotSet(VarId v, uint32_t except) const;
 
   uint32_t num_query_edges_ = 0;
   std::vector<PairSet> sets_;

@@ -9,38 +9,26 @@
 
 namespace wireframe {
 
-bool Burnback::AliveExcept(VarId v, NodeId c, uint32_t except) const {
-  bool touched = false;
-  for (uint32_t f : ag_->IncidentSets(v)) {
-    if (f == except || !ag_->IsMaterialized(f)) continue;
-    touched = true;
-    if (ag_->CountAt(f, v, c) == 0) return false;
-  }
-  return touched;
-}
-
-void Burnback::KillOne(const Death& d) {
+template <typename OnDeath>
+uint64_t Burnback::KillOne(const Death& d, std::vector<std::mutex>* set_mu,
+                           OnDeath&& on_death) {
+  uint64_t erased = 0;
   for (uint32_t f : ag_->IncidentSets(d.var)) {
     if (!ag_->IsMaterialized(f)) continue;
-    PairSet& set = ag_->Set(f);
     const bool at_src = ag_->SrcVar(f) == d.var;
     const VarId other = at_src ? ag_->DstVar(f) : ag_->SrcVar(f);
-
-    // Single reverse sweep over the raw adjacency list: Erase itself is
-    // the tombstone filter, so no snapshot copy is needed (and EraseSrc
-    // asserts the erased count matches the live count exactly).
+    std::unique_lock<std::mutex> lock;
+    if (set_mu != nullptr) lock = std::unique_lock<std::mutex>((*set_mu)[f]);
+    PairSet& set = ag_->Set(f);
+    // The erase sweeps call back after the counters dropped, so a zero
+    // count is the neighbor's 1 -> 0 transition, seen exactly once.
     auto on_erased = [&](NodeId w) {
-      ++pairs_erased_;
-      if (ag_->CountAt(f, other, w) == 0) {
-        worklist_.push_back({other, w, d.depth + 1});
-      }
+      if (ag_->CountAt(f, other, w) == 0) on_death({other, w, d.depth + 1});
     };
-    if (at_src) {
-      set.EraseSrc(d.node, on_erased);
-    } else {
-      set.EraseDst(d.node, on_erased);
-    }
+    erased += at_src ? set.EraseSrc(d.node, on_erased)
+                     : set.EraseDst(d.node, on_erased);
   }
+  return erased;
 }
 
 void Burnback::DrainSerial() {
@@ -48,7 +36,8 @@ void Burnback::DrainSerial() {
     const Death d = worklist_.back();
     worklist_.pop_back();
     max_depth_ = std::max(max_depth_, d.depth);
-    KillOne(d);
+    pairs_erased_ += KillOne(
+        d, nullptr, [&](const Death& next) { worklist_.push_back(next); });
   }
 }
 
@@ -96,24 +85,9 @@ void Burnback::DrainParallel() {
 
   auto process = [&](Shard& me, uint32_t my_index, const Death& d) {
     me.max_depth = std::max(me.max_depth, d.depth);
-    for (uint32_t f : ag_->IncidentSets(d.var)) {
-      if (!ag_->IsMaterialized(f)) continue;
-      const bool at_src = ag_->SrcVar(f) == d.var;
-      const VarId other = at_src ? ag_->DstVar(f) : ag_->SrcVar(f);
-      std::lock_guard<std::mutex> lock(set_mu[f]);
-      PairSet& set = ag_->Set(f);
-      auto on_erased = [&](NodeId w) {
-        ++me.erased;
-        if (ag_->CountAt(f, other, w) == 0) {
-          enqueue(me, my_index, {other, w, d.depth + 1});
-        }
-      };
-      if (at_src) {
-        set.EraseSrc(d.node, on_erased);
-      } else {
-        set.EraseDst(d.node, on_erased);
-      }
-    }
+    me.erased += KillOne(d, &set_mu, [&](const Death& next) {
+      enqueue(me, my_index, next);
+    });
   };
 
   // Shards drain in rounds: each round runs one non-blocking drain loop
@@ -221,34 +195,16 @@ uint64_t Burnback::PruneAfterExtension(uint32_t index, bool src_was_touched,
     if (!was_touched[side]) continue;
     const VarId v = endpoints[side];
 
-    // Pilot: smallest materialized incident set other than `index`.
-    uint32_t pilot = UINT32_MAX;
-    uint64_t pilot_size = UINT64_MAX;
-    for (uint32_t f : ag_->IncidentSets(v)) {
-      if (f == index || !ag_->IsMaterialized(f)) continue;
-      const PairSet& set = ag_->Set(f);
-      const uint64_t size = ag_->SrcVar(f) == v ? set.DistinctSrcCount()
-                                                : set.DistinctDstCount();
-      if (size < pilot_size) {
-        pilot_size = size;
-        pilot = f;
-      }
-    }
-    if (pilot == UINT32_MAX) continue;  // var was not actually constrained
-
     // Seed the worklist first: KillOne mutates the sets being scanned,
-    // and a bulk seed list is what the parallel drain partitions.
-    const PairSet& pilot_set = ag_->Set(pilot);
-    auto consider = [&](NodeId c) {
-      if (ag_->CountAt(index, v, c) == 0 && AliveExcept(v, c, index)) {
-        worklist_.push_back({v, c, 1});
-      }
-    };
-    if (ag_->SrcVar(pilot) == v) {
-      pilot_set.ForEachSrc(consider);
-    } else {
-      pilot_set.ForEachDst(consider);
-    }
+    // and a bulk seed list is what the parallel drain partitions. The
+    // candidates are judged without `index`; a variable no other set
+    // constrains has none.
+    ag_->ForEachCandidate(
+        v,
+        [&](NodeId c) {
+          if (ag_->CountAt(index, v, c) == 0) worklist_.push_back({v, c, 1});
+        },
+        index);
     Drain();
   }
   seconds_ += watch.ElapsedSeconds();

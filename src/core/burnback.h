@@ -2,6 +2,7 @@
 #define WIREFRAME_CORE_BURNBACK_H_
 
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "core/answer_graph.h"
@@ -46,12 +47,15 @@ struct BurnbackOptions {
 /// Erasures lock the affected edge set (one short per-set mutex — a death
 /// at each endpoint of the same set may land in different shards), and
 /// shards drain in rounds on the shared ThreadPool until a global
-/// in-flight counter hits zero, the task-group weight riding in. Because
-/// the fixpoint is confluent and PairSet erasure is order-oblivious
-/// (tombstones land wherever the erased keys hash, adjacency lists are
-/// untouched), the surviving AnswerGraph — and pairs_erased() — are
-/// identical for every thread count; only the diagnostic depth/handoff
-/// counters are schedule-dependent.
+/// in-flight counter hits zero, the task-group weight riding in. Both
+/// drains run one kill body (KillOne). The fixpoint is confluent, so the
+/// set of surviving pairs does not depend on the order deaths are
+/// processed in; and erasing a pair only clears its live bit and lowers
+/// its endpoints' counters, so no order leaves a trace in the sets
+/// either — the spans never move, and Freeze keeps exactly the live
+/// entries. The surviving AnswerGraph and pairs_erased() (pairs before
+/// minus pairs after) are therefore identical for every thread count;
+/// only the diagnostic depth/handoff counters are schedule-dependent.
 ///
 /// Cost accounting: every erased pair was added by an earlier edge walk,
 /// so burnback is amortized into extension cost (paper §4); the class
@@ -101,18 +105,20 @@ class Burnback {
     uint32_t depth;
   };
 
-  /// Erases all pairs incident to (d.var, d.node), queueing starved
-  /// neighbors onto worklist_. Serial-drain body.
-  void KillOne(const Death& d);
+  /// Erases every pair incident to (d.var, d.node) from its materialized
+  /// sets, calls on_death(death) for each neighbor that is left with no
+  /// pair in a set, and returns the pairs erased. The one kill body of
+  /// both drains: the serial drain passes a null `set_mu`; the parallel
+  /// drain passes its per-set mutexes, and each set's erasure and the
+  /// count reads that detect deaths then run under that set's lock.
+  template <typename OnDeath>
+  uint64_t KillOne(const Death& d, std::vector<std::mutex>* set_mu,
+                   OnDeath&& on_death);
   /// Drains worklist_ to fixpoint, serially or in parallel per
   /// BurnbackOptions and the seed size.
   void Drain();
   void DrainSerial();
   void DrainParallel();
-
-  /// True iff c is alive at v considering all materialized incident sets
-  /// except `except` (UINT32_MAX to consider all).
-  bool AliveExcept(VarId v, NodeId c, uint32_t except) const;
 
   AnswerGraph* ag_;
   BurnbackOptions options_;

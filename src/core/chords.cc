@@ -164,8 +164,7 @@ Status ChordEvaluator::MaterializeChords(
 
     // Working chord pairs, packed (chord.u endpoint, chord.v endpoint).
     // Kept sorted ascending after the first triangle: the canonical order
-    // makes the materialized PairSet — including adjacency order —
-    // identical for every thread count.
+    // makes the materialized PairSet identical for every thread count.
     std::vector<uint64_t> pairs;
     bool first_triangle = true;
     for (const Triangle& tri : chord.triangles) {
@@ -209,8 +208,8 @@ Status ChordEvaluator::MaterializeChords(
           pairs.insert(pairs.end(), chunk.begin(), chunk.end());
         }
         // Canonicalize: different (a,w) frontier items can produce the
-        // same chord pair, so dedup; ascending order fixes the insertion
-        // order below independently of sharding.
+        // same chord pair, so dedup; ascending order fixes the list the
+        // set is built from independently of sharding.
         SortUnique(pairs);
         first_triangle = false;
       } else {
@@ -283,15 +282,12 @@ Status ChordEvaluator::MaterializeChords(
     WF_CHECK(!first_triangle)
         << "chord " << c << " had no materializable triangle";
 
-    PairSet& set = ag_->Set(slot);
-    // The canonical list is exact (sorted, deduped), so pre-size the
-    // live-pair index once instead of doubling through the bulk insert.
-    set.Reserve(pairs.size());
-    for (uint64_t key : pairs) {
-      auto [a, b] = UnpackPair(key);
-      set.Add(a, b);
-    }
-    ag_->MarkMaterialized(slot);
+    // The canonical list is sorted by (chord.u, chord.v) and duplicate-
+    // free, so the set builds its forward direction without a sort.
+    std::vector<std::pair<NodeId, NodeId>> chord_pairs;
+    chord_pairs.reserve(pairs.size());
+    for (uint64_t key : pairs) chord_pairs.push_back(UnpackPair(key));
+    ag_->Materialize(slot, std::move(chord_pairs));
     // Chords constrain node sets too: burn back endpoints that lost all
     // support (both endpoints were necessarily touched already). Burnback
     // runs at this barrier, as in regular edge extension.

@@ -20,8 +20,8 @@ namespace {
 /// degree distributions.
 constexpr uint64_t kFrontierMorsel = 256;
 
-/// Snapshots the candidate set of `v` in ForEachCandidate order (the
-/// frontier order that fixes the level's insertion order).
+/// Snapshots the candidate set of `v`, ascending (ForEachCandidate
+/// order): the level's frontier.
 std::vector<NodeId> CollectCandidates(const AnswerGraph& ag, VarId v) {
   std::vector<NodeId> out;
   ag.ForEachCandidate(v, [&](NodeId c) { out.push_back(c); });
@@ -94,12 +94,12 @@ Result<GeneratorResult> AgGenerator::Generate(
   for (uint32_t e : plan.edge_order) {
     const QueryEdge& qe = query.Edge(e);
     const LabelId p = qe.label;
-    PairSet& set = ag.Set(e);
     const bool src_touched = ag.IsTouched(qe.src);
     const bool dst_touched = ag.IsTouched(qe.dst);
 
     // A label with no triples leaves the edge set empty; burnback below
     // wipes the constrained endpoints.
+    std::vector<std::pair<NodeId, NodeId>> pairs;
     if (p < store.NumPredicates()) {
       // The frontier: on a cold start the predicate's distinct subjects
       // (the whole labeled edge set enters the AG); otherwise the
@@ -127,12 +127,14 @@ Result<GeneratorResult> AgGenerator::Generate(
         return passes_lookahead(to, y, e, walks);
       };
 
-      // Morsels fill private PairSetShards, merged into `set` in morsel
-      // order at the barrier: subjects and candidates come in a fixed
-      // order and neighbors ascend, so the insertion sequence — and the
-      // AG, adjacency order included — is the same for every pool size.
-      // The body only reads shared state (store, AG sets of earlier
-      // levels). An interrupt returns before anything is merged.
+      // Morsels fill private PairSetShards, concatenated in morsel order
+      // at the barrier. The frontier ascends and so do the neighbors of
+      // each frontier node, so the list is sorted by (src, dst) on a
+      // forward extension and by (dst, src) on a backward one, and the
+      // set builds that direction without a sort; the list, and so the
+      // AG, is the same for every pool size. The body only reads shared
+      // state (store, AG sets of earlier levels). An interrupt returns
+      // before anything is materialized.
       const uint64_t num_morsels =
           (frontier.size() + kFrontierMorsel - 1) / kFrontierMorsel;
       std::vector<PairSetShard> shards(num_morsels);
@@ -161,13 +163,13 @@ Result<GeneratorResult> AgGenerator::Generate(
             }
           }));
       for (const PairSetShard& shard : shards) {
-        set.MergeShard(shard);
         result.edge_walks += shard.edge_walks;
       }
+      pairs = ConcatShards(shards);
     }
 
-    const uint64_t added = set.Size();
-    ag.MarkMaterialized(e);
+    ag.Materialize(e, std::move(pairs));
+    const uint64_t added = ag.Set(e).Size();
     query_edge_done[e] = true;
     const uint64_t burned =
         burnback.PruneAfterExtension(e, src_touched, dst_touched);

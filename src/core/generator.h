@@ -51,11 +51,12 @@ struct GeneratorOptions {
   Deadline deadline;
   /// Worker pool for morsel-parallel edge extension (not owned; null
   /// runs on InlinePool). Each extension level partitions its frontier
-  /// into morsels whose workers fill thread-local PairSetShards; shards
-  /// merge in morsel order at the level barrier, so the resulting
-  /// AnswerGraph — including adjacency order — is identical for every
-  /// pool size. Node burnback drains on the same pool once a seed list
-  /// crosses `burnback_parallel_threshold`.
+  /// into morsels whose workers fill thread-local PairSetShards; the
+  /// shards concatenate in morsel order at the level barrier into the
+  /// list the level's edge set is built from, so the resulting
+  /// AnswerGraph is identical for every pool size. Node burnback drains
+  /// on the same pool once a seed list crosses
+  /// `burnback_parallel_threshold`.
   ThreadPool* pool = nullptr;
   /// Optional cooperative cancellation (borrowed, may be null): polled on
   /// the same amortized cadence as the deadline; once set, generation
@@ -72,9 +73,10 @@ struct GeneratorOptions {
   std::function<void(const GeneratorTraceStep&)> trace;
 };
 
-/// Phase-1 output: the answer graph, in its mutable build form (the
-/// engine freezes it before phase 2; paper-trace benches and tests keep
-/// driving burnback on it), plus cost accounting.
+/// Phase-1 output: the answer graph, not yet frozen (its sets still carry
+/// their liveness overlays: the engine freezes it before phase 2;
+/// paper-trace benches and tests keep driving burnback on it), plus cost
+/// accounting.
 struct GeneratorResult {
   // Held by pointer: AnswerGraph is move-only and large.
   std::unique_ptr<AnswerGraph> ag;

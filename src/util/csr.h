@@ -13,10 +13,10 @@
 
 namespace wireframe {
 
-/// One direction of a frozen pair set: sorted distinct keys, prefix
-/// offsets, and sorted neighbor spans — the same shape as
-/// TripleStore::PredIndex, factored out so the AnswerGraph's frozen form
-/// and future read-optimized indexes share it.
+/// One direction of a pair set: sorted distinct keys, prefix offsets, and
+/// sorted neighbor spans — the same shape as TripleStore::PredIndex,
+/// factored out so the AnswerGraph's edge sets (core/answer_graph.h) and
+/// the triple store share it.
 ///
 /// Key lookup is O(1) when the key space is compact: node ids are dense
 /// dictionary ids, so whenever max_key is within a small factor of the
@@ -37,7 +37,7 @@ class Csr {
 
   /// Builds from an unordered pair list (key, neighbor). `pairs` is taken
   /// by value and sorted in place; duplicates are kept (callers that need
-  /// set semantics deduplicate first — PairSet never holds duplicates).
+  /// set semantics deduplicate first).
   static Csr Build(std::vector<std::pair<NodeId, NodeId>> pairs) {
     std::sort(pairs.begin(), pairs.end());
     return BuildFromSorted(
@@ -65,27 +65,43 @@ class Csr {
       csr.neighbors_.push_back(value);
     }
     csr.offsets_.push_back(static_cast<uint32_t>(csr.neighbors_.size()));
-
-    // Direct index when the id space is compact enough that one uint32
-    // per id costs at most ~kDenseSlack slots per distinct key.
-    if (!csr.nodes_.empty()) {
-      const uint64_t span = static_cast<uint64_t>(csr.nodes_.back()) + 1;
-      if (span <= kDenseSlack * csr.nodes_.size() + kDenseFloor) {
-        csr.dense_offsets_.assign(span + 1, 0);
-        for (size_t i = 0; i < csr.nodes_.size(); ++i) {
-          csr.dense_offsets_[csr.nodes_[i]] = csr.offsets_[i];
-          csr.dense_offsets_[csr.nodes_[i] + 1] = csr.offsets_[i + 1];
-        }
-        // Fill the gaps: an absent key gets an empty span at the end of
-        // its predecessor's.
-        for (size_t k = 1; k < csr.dense_offsets_.size(); ++k) {
-          csr.dense_offsets_[k] =
-              std::max(csr.dense_offsets_[k], csr.dense_offsets_[k - 1]);
-        }
-      }
-    }
+    csr.BuildDenseIndex();
     return csr;
   }
+
+  /// Order-preserving compaction: a Csr of exactly the entries k (indexes
+  /// into Entries()) with keep(k) true. Keys left with no entry are
+  /// dropped. The result is identical to Build over the kept pairs, in one
+  /// linear pass with no sort.
+  template <typename Keep>
+  Csr Filtered(Keep&& keep) const {
+    Csr csr;
+    // Exact capacity, as Build reserves it: frozen sets stay resident in
+    // the AG cache.
+    size_t kept = 0;
+    for (uint32_t k = 0; k < neighbors_.size(); ++k) kept += keep(k) ? 1 : 0;
+    csr.neighbors_.reserve(kept);
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      const uint32_t before = static_cast<uint32_t>(csr.neighbors_.size());
+      for (uint32_t k = offsets_[i]; k < offsets_[i + 1]; ++k) {
+        if (keep(k)) csr.neighbors_.push_back(neighbors_[k]);
+      }
+      if (csr.neighbors_.size() > before) {
+        csr.nodes_.push_back(nodes_[i]);
+        csr.offsets_.push_back(before);
+      }
+    }
+    csr.offsets_.push_back(static_cast<uint32_t>(csr.neighbors_.size()));
+    csr.BuildDenseIndex();
+    return csr;
+  }
+
+  /// Entry positions [begin, end) of one key's span in Entries().
+  struct Range {
+    uint32_t begin = 0;
+    uint32_t end = 0;
+    bool empty() const { return begin == end; }
+  };
 
   /// Distinct keys, ascending.
   std::span<const NodeId> Nodes() const { return nodes_; }
@@ -93,26 +109,43 @@ class Csr {
   /// Total (key, neighbor) entries.
   uint64_t NumEntries() const { return neighbors_.size(); }
 
-  /// Sorted neighbor span of `key`; empty if the key is absent.
-  std::span<const NodeId> Neighbors(NodeId key) const {
+  /// Every neighbor, key-major: the i-th key's neighbors are
+  /// Slice(RangeAt(i)). Entry positions index per-entry side tables
+  /// (PairSet's liveness overlay).
+  std::span<const NodeId> Entries() const { return neighbors_; }
+
+  /// Entry range of `key`; empty if the key is absent.
+  Range RangeOf(NodeId key) const {
     if (!dense_offsets_.empty()) {
       if (static_cast<size_t>(key) + 1 >= dense_offsets_.size()) return {};
-      const uint32_t begin = dense_offsets_[key];
-      return std::span<const NodeId>(neighbors_)
-          .subspan(begin, dense_offsets_[key + 1] - begin);
+      return {dense_offsets_[key], dense_offsets_[key + 1]};
     }
     const size_t i = IndexOf(key);
     if (i == kNotFound) return {};
-    return std::span<const NodeId>(neighbors_)
-        .subspan(offsets_[i], offsets_[i + 1] - offsets_[i]);
+    return RangeAt(i);
+  }
+
+  /// Entry range of the i-th distinct key.
+  Range RangeAt(size_t i) const {
+    WF_DCHECK(i < nodes_.size());
+    return {offsets_[i], offsets_[i + 1]};
+  }
+
+  /// The neighbors at entry positions `r`.
+  std::span<const NodeId> Slice(Range r) const {
+    return std::span<const NodeId>(neighbors_).subspan(r.begin,
+                                                       r.end - r.begin);
+  }
+
+  /// Sorted neighbor span of `key`; empty if the key is absent.
+  std::span<const NodeId> Neighbors(NodeId key) const {
+    return Slice(RangeOf(key));
   }
 
   /// Neighbor span of the i-th distinct key (for dense scans that walk
   /// Nodes() positionally instead of probing by key).
   std::span<const NodeId> NeighborsAt(size_t i) const {
-    WF_DCHECK(i < nodes_.size());
-    return std::span<const NodeId>(neighbors_)
-        .subspan(offsets_[i], offsets_[i + 1] - offsets_[i]);
+    return Slice(RangeAt(i));
   }
 
   /// True iff (key, value) is present: one offset load (or key binary
@@ -183,20 +216,25 @@ class Csr {
     PrefetchRead(&neighbors_[offsets_[i]]);
   }
 
-  /// Invokes fn(key, neighbor) for every entry, key-major ascending,
-  /// prefetching a few spans ahead (per-span fn work defeats the
-  /// hardware prefetcher on short scattered spans).
+  /// Invokes fn(key, k) for every entry position k (neighbor
+  /// Entries()[k]), key-major ascending, prefetching a few spans ahead
+  /// (per-span fn work defeats the hardware prefetcher on short scattered
+  /// spans).
   template <typename Fn>
-  void ForEach(Fn&& fn) const {
+  void ForEachEntry(Fn&& fn) const {
     for (size_t i = 0; i < nodes_.size(); ++i) {
       if (i + kScanSpanAhead < nodes_.size()) {
         PrefetchSpan(i + kScanSpanAhead);
       }
       const NodeId key = nodes_[i];
-      for (uint32_t k = offsets_[i]; k < offsets_[i + 1]; ++k) {
-        fn(key, neighbors_[k]);
-      }
+      for (uint32_t k = offsets_[i]; k < offsets_[i + 1]; ++k) fn(key, k);
     }
+  }
+
+  /// Invokes fn(key, neighbor) for every entry, key-major ascending.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    ForEachEntry([&](NodeId key, uint32_t k) { fn(key, neighbors_[k]); });
   }
 
  private:
@@ -212,6 +250,25 @@ class Csr {
   static constexpr size_t kProbeOffsetAhead = 8;
   static constexpr size_t kProbeSpanAhead = 2;
   static constexpr size_t kScanSpanAhead = 4;
+
+  /// Direct index when the id space is compact enough that one uint32
+  /// per id costs at most ~kDenseSlack slots per distinct key. Depends
+  /// only on nodes_ and offsets_, so equal content gives equal tables.
+  void BuildDenseIndex() {
+    if (nodes_.empty()) return;
+    const uint64_t span = static_cast<uint64_t>(nodes_.back()) + 1;
+    if (span > kDenseSlack * nodes_.size() + kDenseFloor) return;
+    dense_offsets_.assign(span + 1, 0);
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      dense_offsets_[nodes_[i]] = offsets_[i];
+      dense_offsets_[nodes_[i] + 1] = offsets_[i + 1];
+    }
+    // Fill the gaps: an absent key gets an empty span at the end of its
+    // predecessor's.
+    for (size_t k = 1; k < dense_offsets_.size(); ++k) {
+      dense_offsets_[k] = std::max(dense_offsets_[k], dense_offsets_[k - 1]);
+    }
+  }
 
   /// Position of `key` in nodes_, or kNotFound.
   size_t IndexOf(NodeId key) const {

@@ -137,8 +137,12 @@ size_t GallopLowerBound(const NodeId* data, size_t n, size_t from, NodeId x) {
   return lo + BranchlessLowerBound(data + lo, hi - lo, x);
 }
 
+size_t SpanLowerBound(std::span<const NodeId> span, NodeId value) {
+  return BranchlessLowerBound(span.data(), span.size(), value);
+}
+
 bool SpanContains(std::span<const NodeId> span, NodeId value) {
-  const size_t i = BranchlessLowerBound(span.data(), span.size(), value);
+  const size_t i = SpanLowerBound(span, value);
   return i < span.size() && span[i] == value;
 }
 

@@ -83,6 +83,10 @@ inline constexpr size_t kGallopRatio = 8;
 /// searches.
 size_t GallopLowerBound(const NodeId* data, size_t n, size_t from, NodeId x);
 
+/// Index of the first element of sorted `span` that is >= value, or
+/// span.size() if none (branch-free binary search).
+size_t SpanLowerBound(std::span<const NodeId> span, NodeId value);
+
 /// True iff sorted `span` contains `value` (branch-free binary search).
 bool SpanContains(std::span<const NodeId> span, NodeId value);
 

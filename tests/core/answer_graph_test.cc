@@ -30,8 +30,7 @@ TEST(AnswerGraphTest, TouchedAfterMaterialization) {
   QueryGraph q = ChainQuery();
   AnswerGraph ag(q);
   EXPECT_FALSE(ag.IsTouched(0));
-  ag.Set(0).Add(10, 20);
-  ag.MarkMaterialized(0);
+  ag.Materialize(0, {{10, 20}});
   EXPECT_TRUE(ag.IsTouched(0));
   EXPECT_TRUE(ag.IsTouched(1));
   EXPECT_FALSE(ag.IsTouched(2));  // v2 only touches edge 1
@@ -40,11 +39,8 @@ TEST(AnswerGraphTest, TouchedAfterMaterialization) {
 TEST(AnswerGraphTest, AlivenessAcrossTwoEdges) {
   QueryGraph q = ChainQuery();
   AnswerGraph ag(q);
-  ag.Set(0).Add(10, 20);  // v0=10, v1=20
-  ag.Set(0).Add(11, 21);
-  ag.MarkMaterialized(0);
-  ag.Set(1).Add(20, 30);  // v1=20, v2=30
-  ag.MarkMaterialized(1);
+  ag.Materialize(0, {{10, 20}, {11, 21}});  // v0, v1
+  ag.Materialize(1, {{20, 30}});            // v1, v2
 
   EXPECT_TRUE(ag.IsAlive(1, 20));   // in both sets at v1
   EXPECT_FALSE(ag.IsAlive(1, 21));  // missing from edge 1
@@ -56,11 +52,8 @@ TEST(AnswerGraphTest, AlivenessAcrossTwoEdges) {
 TEST(AnswerGraphTest, CandidatesFilterByAliveness) {
   QueryGraph q = ChainQuery();
   AnswerGraph ag(q);
-  ag.Set(0).Add(10, 20);
-  ag.Set(0).Add(11, 21);
-  ag.MarkMaterialized(0);
-  ag.Set(1).Add(20, 30);
-  ag.MarkMaterialized(1);
+  ag.Materialize(0, {{10, 20}, {11, 21}});
+  ag.Materialize(1, {{20, 30}});
 
   std::set<NodeId> mids;
   ag.ForEachCandidate(1, [&](NodeId c) { mids.insert(c); });
@@ -72,9 +65,7 @@ TEST(AnswerGraphTest, CandidatesFilterByAliveness) {
 TEST(AnswerGraphTest, CountAtRespectsSide) {
   QueryGraph q = ChainQuery();
   AnswerGraph ag(q);
-  ag.Set(0).Add(10, 20);
-  ag.Set(0).Add(10, 21);
-  ag.MarkMaterialized(0);
+  ag.Materialize(0, {{10, 20}, {10, 21}});
   EXPECT_EQ(ag.CountAt(0, q.Edge(0).src, 10), 2u);
   EXPECT_EQ(ag.CountAt(0, q.Edge(0).dst, 20), 1u);
   EXPECT_EQ(ag.CountAt(0, q.Edge(0).dst, 10), 0u);
@@ -91,8 +82,7 @@ TEST(AnswerGraphTest, ChordSlotsExtendIncidence) {
   EXPECT_EQ(ag.SrcVar(slot), x);
   EXPECT_EQ(ag.DstVar(slot), y);
   // Unmaterialized chords do not constrain aliveness.
-  ag.Set(0).Add(1, 2);
-  ag.MarkMaterialized(0);
+  ag.Materialize(0, {{1, 2}});
   EXPECT_TRUE(ag.IsAlive(x, 1));
 }
 
@@ -100,22 +90,16 @@ TEST(AnswerGraphTest, TotalQueryEdgePairsExcludesChords) {
   QueryGraph q = DiamondTemplate().Instantiate({0, 1, 2, 3});
   AnswerGraph ag(q);
   uint32_t slot = ag.AddChordSlot(q.FindVar("x"), q.FindVar("y"));
-  ag.Set(0).Add(1, 2);
-  ag.Set(slot).Add(7, 8);
-  ag.Set(slot).Add(7, 9);
+  ag.Materialize(0, {{1, 2}});
+  ag.Materialize(slot, {{7, 8}, {7, 9}});
   EXPECT_EQ(ag.TotalQueryEdgePairs(), 1u);
 }
 
 TEST(AnswerGraphTest, FreezePreservesDerivedState) {
   QueryGraph q = ChainQuery();
   AnswerGraph ag(q);
-  ag.Set(0).Add(1, 10);
-  ag.Set(0).Add(2, 10);
-  ag.Set(0).Add(3, 11);
-  ag.MarkMaterialized(0);
-  ag.Set(1).Add(10, 20);
-  ag.Set(1).Add(10, 21);
-  ag.MarkMaterialized(1);
+  ag.Materialize(0, {{1, 10}, {2, 10}, {3, 11}});
+  ag.Materialize(1, {{10, 20}, {10, 21}});
   ag.Set(1).Erase(10, 21);  // leave a tombstone for Freeze to compact
 
   const uint64_t candidates_before = ag.CandidateCount(1);
@@ -140,12 +124,13 @@ TEST(AnswerGraphTest, FreezeWithPoolMatchesSerialFreeze) {
   QueryGraph q = ChainQuery();
   AnswerGraph serial(q), parallel(q);
   for (AnswerGraph* ag : {&serial, &parallel}) {
+    std::set<std::pair<NodeId, NodeId>> set0, set1;
     for (NodeId k = 0; k < 50; ++k) {
-      ag->Set(0).Add(k, 100 + k % 7);
-      ag->Set(1).Add(100 + k % 7, 200 + k % 3);
+      set0.emplace(k, 100 + k % 7);
+      set1.emplace(100 + k % 7, 200 + k % 3);
     }
-    ag->MarkMaterialized(0);
-    ag->MarkMaterialized(1);
+    ag->Materialize(0, {set0.begin(), set0.end()});
+    ag->Materialize(1, {set1.begin(), set1.end()});
   }
   serial.Freeze();
   ThreadPool pool(4);
@@ -162,15 +147,21 @@ TEST(AnswerGraphTest, FreezeWithPoolMatchesSerialFreeze) {
 TEST(AnswerGraphTest, StatsPerQueryEdge) {
   QueryGraph q = ChainQuery();
   AnswerGraph ag(q);
-  ag.Set(0).Add(1, 2);
-  ag.Set(0).Add(3, 2);
-  ag.Set(1).Add(2, 4);
+  ag.Materialize(0, {{1, 2}, {3, 2}});
+  ag.Materialize(1, {{2, 4}});
   std::vector<AgEdgeStats> stats = ag.Stats();
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_EQ(stats[0].pairs, 2u);
   EXPECT_EQ(stats[0].distinct_src, 2u);
   EXPECT_EQ(stats[0].distinct_dst, 1u);
   EXPECT_EQ(stats[1].pairs, 1u);
+}
+
+TEST(AnswerGraphDeathTest, MaterializingASetTwiceDies) {
+  QueryGraph q = ChainQuery();
+  AnswerGraph ag(q);
+  ag.Materialize(0, {{1, 2}});
+  EXPECT_DEATH(ag.Materialize(0, {{3, 4}}), "materialized twice");
 }
 
 }  // namespace

@@ -127,12 +127,13 @@ TEST(BurnbackParallelTest, KillNodeMatchesSerialDrain) {
     // Three-layer chain with shared endpoints so cascades propagate.
     Rng rng(99);
     for (uint32_t e = 0; e < 3; ++e) {
+      std::set<std::pair<NodeId, NodeId>> drawn;
       for (int k = 0; k < 40; ++k) {
         const NodeId u = static_cast<NodeId>(rng.Uniform(6) + 10 * e);
         const NodeId v = static_cast<NodeId>(rng.Uniform(6) + 10 * (e + 1));
-        ag->Set(e).Add(u, v);
+        drawn.emplace(u, v);
       }
-      ag->MarkMaterialized(e);
+      ag->Materialize(e, {drawn.begin(), drawn.end()});
     }
   };
   auto q = []() {

@@ -60,10 +60,7 @@ QueryGraph RandomConnectedQuery(Rng& rng) {
 TEST(BurnbackTest, KillNodeErasesIncidentPairs) {
   QueryGraph q = ChainTemplate(2).Instantiate({0, 1});
   AnswerGraph ag(q);
-  ag.Set(0).Add(1, 10);
-  ag.Set(0).Add(2, 10);
-  ag.Set(0).Add(3, 11);
-  ag.MarkMaterialized(0);
+  ag.Materialize(0, {{1, 10}, {2, 10}, {3, 11}});
   Burnback bb(&ag);
   uint64_t erased = bb.KillNode(q.FindVar("v1"), 10);
   EXPECT_EQ(erased, 2u);
@@ -75,11 +72,8 @@ TEST(BurnbackTest, CascadeAcrossChain) {
   // v0 -e0-> v1 -e1-> v2; kill the only v2 node; everything unravels.
   QueryGraph q = ChainTemplate(2).Instantiate({0, 1});
   AnswerGraph ag(q);
-  ag.Set(0).Add(1, 10);
-  ag.Set(0).Add(2, 10);
-  ag.MarkMaterialized(0);
-  ag.Set(1).Add(10, 20);
-  ag.MarkMaterialized(1);
+  ag.Materialize(0, {{1, 10}, {2, 10}});
+  ag.Materialize(1, {{10, 20}});
   Burnback bb(&ag);
   uint64_t erased = bb.KillNode(q.FindVar("v2"), 20);
   EXPECT_EQ(erased, 3u);
@@ -90,11 +84,8 @@ TEST(BurnbackTest, CascadeAcrossChain) {
 TEST(BurnbackTest, CascadeStopsWhereSupported) {
   QueryGraph q = ChainTemplate(2).Instantiate({0, 1});
   AnswerGraph ag(q);
-  ag.Set(0).Add(1, 10);
-  ag.MarkMaterialized(0);
-  ag.Set(1).Add(10, 20);
-  ag.Set(1).Add(10, 21);
-  ag.MarkMaterialized(1);
+  ag.Materialize(0, {{1, 10}});
+  ag.Materialize(1, {{10, 20}, {10, 21}});
   Burnback bb(&ag);
   // Killing one of v2's two nodes leaves v1=10 supported.
   bb.KillNode(q.FindVar("v2"), 21);
@@ -106,10 +97,8 @@ TEST(BurnbackTest, CascadeStopsWhereSupported) {
 TEST(BurnbackTest, ErasePairCascades) {
   QueryGraph q = ChainTemplate(2).Instantiate({0, 1});
   AnswerGraph ag(q);
-  ag.Set(0).Add(1, 10);
-  ag.MarkMaterialized(0);
-  ag.Set(1).Add(10, 20);
-  ag.MarkMaterialized(1);
+  ag.Materialize(0, {{1, 10}});
+  ag.Materialize(1, {{10, 20}});
   Burnback bb(&ag);
   uint64_t erased = bb.ErasePair(1, 10, 20);
   EXPECT_EQ(erased, 2u);  // the pair itself + cascaded (1,10)
@@ -119,8 +108,7 @@ TEST(BurnbackTest, ErasePairCascades) {
 TEST(BurnbackTest, EraseMissingPairIsNoop) {
   QueryGraph q = ChainTemplate(1).Instantiate({0});
   AnswerGraph ag(q);
-  ag.Set(0).Add(1, 2);
-  ag.MarkMaterialized(0);
+  ag.Materialize(0, {{1, 2}});
   Burnback bb(&ag);
   EXPECT_EQ(bb.ErasePair(0, 5, 6), 0u);
   EXPECT_EQ(ag.Set(0).Size(), 1u);
@@ -131,11 +119,8 @@ TEST(BurnbackTest, PruneAfterExtensionRemovesFailedCandidates) {
   QueryGraph q = StarTemplate(2).Instantiate({0, 1});
   AnswerGraph ag(q);
   VarId x = q.FindVar("x");
-  ag.Set(0).Add(1, 10);
-  ag.Set(0).Add(2, 11);
-  ag.MarkMaterialized(0);
-  ag.Set(1).Add(1, 20);
-  ag.MarkMaterialized(1);
+  ag.Materialize(0, {{1, 10}, {2, 11}});
+  ag.Materialize(1, {{1, 20}});
   Burnback bb(&ag);
   uint64_t erased = bb.PruneAfterExtension(1, /*src_was_touched=*/true,
                                            /*dst_was_touched=*/false);
@@ -171,14 +156,15 @@ TEST(BurnbackTest, InterleavedPruningReachesArcConsistency) {
                               (!dst_touched || !dst_pool.empty());
       const uint32_t pairs =
           extendable ? 1 + static_cast<uint32_t>(rng.Uniform(10)) : 0;
+      std::set<std::pair<NodeId, NodeId>> drawn;
       for (uint32_t k = 0; k < pairs; ++k) {
         NodeId u = src_touched ? src_pool[rng.Uniform(src_pool.size())]
                                : static_cast<NodeId>(rng.Uniform(6));
         NodeId v = dst_touched ? dst_pool[rng.Uniform(dst_pool.size())]
                                : static_cast<NodeId>(100 + rng.Uniform(6));
-        ag.Set(e).Add(u, v);
+        drawn.emplace(u, v);
       }
-      ag.MarkMaterialized(e);
+      ag.Materialize(e, {drawn.begin(), drawn.end()});
       bb.PruneAfterExtension(e, src_touched, dst_touched);
     }
     EXPECT_EQ(OracleFixpoint(&ag), 0u)
@@ -194,15 +180,15 @@ TEST(BurnbackTest, KillMatchesOracleDeletion) {
     QueryGraph q = ChainTemplate(3).Instantiate({0, 1, 2});
     AnswerGraph fast(q), slow(q);
     for (uint32_t e = 0; e < 3; ++e) {
+      std::set<std::pair<NodeId, NodeId>> drawn;
       for (int k = 0; k < 8; ++k) {
         // Chain var domains overlap so cascades actually propagate.
         NodeId u = static_cast<NodeId>(rng.Uniform(4) + 10 * e);
         NodeId v = static_cast<NodeId>(rng.Uniform(4) + 10 * (e + 1));
-        fast.Set(e).Add(u, v);
-        slow.Set(e).Add(u, v);
+        drawn.emplace(u, v);
       }
-      fast.MarkMaterialized(e);
-      slow.MarkMaterialized(e);
+      fast.Materialize(e, {drawn.begin(), drawn.end()});
+      slow.Materialize(e, {drawn.begin(), drawn.end()});
     }
     // Settle both to a consistent state first.
     Burnback bb(&fast);

@@ -18,11 +18,13 @@ struct ChainFixture {
   QueryGraph q = ChainTemplate(3).Instantiate({0, 1, 2});
   AnswerGraph ag{q};
 
-  explicit ChainFixture(bool freeze = true) {
-    for (NodeId w : {1, 2, 3}) ag.Set(0).Add(w, 5);
-    ag.Set(1).Add(5, 9);
-    for (NodeId z : {12, 13, 14, 15}) ag.Set(2).Add(9, z);
-    for (uint32_t e = 0; e < 3; ++e) ag.MarkMaterialized(e);
+  explicit ChainFixture(bool freeze = true,
+                        const std::vector<NodeId>& a_sources = {1, 2, 3}) {
+    std::vector<std::pair<NodeId, NodeId>> a;
+    for (NodeId w : a_sources) a.emplace_back(w, 5);
+    ag.Materialize(0, std::move(a));
+    ag.Materialize(1, {{5, 9}});
+    ag.Materialize(2, {{9, 12}, {9, 13}, {9, 14}, {9, 15}});
     if (freeze) ag.Freeze();
   }
 };
@@ -76,11 +78,8 @@ TEST(DefactorizerTest, BothEndpointsBoundFilters) {
   q.AddEdge(x, 0, y);
   q.AddEdge(x, 1, y);
   AnswerGraph ag(q);
-  ag.Set(0).Add(1, 10);
-  ag.Set(0).Add(2, 20);
-  ag.Set(1).Add(1, 10);  // only (1,10) survives the second pattern
-  ag.MarkMaterialized(0);
-  ag.MarkMaterialized(1);
+  ag.Materialize(0, {{1, 10}, {2, 20}});
+  ag.Materialize(1, {{1, 10}});  // only (1,10) survives the second pattern
   ag.Freeze();
   Defactorizer defac(q, ag);
   CollectingSink sink;
@@ -103,8 +102,8 @@ TEST(DefactorizerTest, BackwardExtension) {
 TEST(DefactorizerTest, EmptyAgYieldsNothing) {
   QueryGraph q = ChainTemplate(2).Instantiate({0, 1});
   AnswerGraph ag(q);
-  ag.MarkMaterialized(0);
-  ag.MarkMaterialized(1);
+  ag.Materialize(0, {});
+  ag.Materialize(1, {});
   ag.Freeze();
   Defactorizer defac(q, ag);
   CountingSink sink;
@@ -124,14 +123,14 @@ TEST(DefactorizerTest, SinkCanStopEarly) {
 }
 
 TEST(DefactorizerTest, ExpiredDeadlineTimesOut) {
-  ChainFixture f(/*freeze=*/false);
+  // The deadline is checked on a stride; tiny outputs may finish first,
+  // so force many tuples through a bigger AG.
+  std::vector<NodeId> a_sources = {1, 2, 3};
+  for (NodeId w = 100; w < 3000; ++w) a_sources.push_back(w);
+  ChainFixture f(/*freeze=*/true, a_sources);
   CountingSink sink;
   DefactorizerOptions options;
   options.deadline = Deadline::AlreadyExpired();
-  // The deadline is checked on a stride; tiny outputs may finish first,
-  // so force many tuples through a bigger AG.
-  for (NodeId w = 100; w < 3000; ++w) f.ag.Set(0).Add(w, 5);
-  f.ag.Freeze();
   Defactorizer defac(f.q, f.ag);
   auto n = defac.Emit(PlanOrder({0, 1, 2}), &sink, options);
   ASSERT_FALSE(n.ok());
@@ -240,16 +239,17 @@ QueryGraph SnowflakeQuery() {
 }
 
 void FillSnowflake(AnswerGraph& ag) {
+  std::vector<std::vector<std::pair<NodeId, NodeId>>> sets(5);
   for (NodeId c = 0; c < 150; ++c) {
-    for (NodeId i = 0; i < 3; ++i) ag.Set(0).Add(c, 1000 + c * 3 + i);
-    for (NodeId i = 0; i <= c % 4; ++i) ag.Set(1).Add(c, 2000 + i);
-    for (NodeId i = 0; i < 2; ++i) ag.Set(2).Add(c, 3000 + (c + i) % 7);
-    for (NodeId i = 0; i <= c % 3; ++i) ag.Set(4).Add(5000 + i, c);
+    for (NodeId i = 0; i < 3; ++i) sets[0].emplace_back(c, 1000 + c * 3 + i);
+    for (NodeId i = 0; i <= c % 4; ++i) sets[1].emplace_back(c, 2000 + i);
+    for (NodeId i = 0; i < 2; ++i) sets[2].emplace_back(c, 3000 + (c + i) % 7);
+    for (NodeId i = 0; i <= c % 3; ++i) sets[4].emplace_back(5000 + i, c);
   }
   for (NodeId a = 1000; a < 1450; ++a) {
-    for (NodeId i = 0; i <= a % 3; ++i) ag.Set(3).Add(a, 4000 + i);
+    for (NodeId i = 0; i <= a % 3; ++i) sets[3].emplace_back(a, 4000 + i);
   }
-  for (uint32_t e = 0; e < 5; ++e) ag.MarkMaterialized(e);
+  for (uint32_t e = 0; e < 5; ++e) ag.Materialize(e, std::move(sets[e]));
 }
 
 TEST(DefactorizerBatchTest, SnowflakeStatsMatchAcrossThreadCounts) {
@@ -281,21 +281,27 @@ TEST(DefactorizerBatchTest, DiamondWithChordAtLastDepthMatchesAcrossThreads) {
   q.AddEdge(y, 2, w);
   AnswerGraph ag(q);
   const uint32_t chord = ag.AddChordSlot(z, w);
+  std::vector<std::vector<std::pair<NodeId, NodeId>>> sets(
+      ag.NumEdgeSets());
   for (NodeId xv = 0; xv < 120; ++xv) {
     for (NodeId i = 0; i < 3; ++i) {
-      ag.Set(0).Add(xv, 500 + (xv + i) % 40);
-      ag.Set(1).Add(xv, 600 + (xv * 7 + i) % 30);
+      sets[0].emplace_back(xv, 500 + (xv + i) % 40);
+      sets[1].emplace_back(xv, 600 + (xv * 7 + i) % 30);
     }
   }
   for (NodeId yv = 500; yv < 540; ++yv) {
-    for (NodeId i = 0; i < 5; ++i) ag.Set(2).Add(yv, 700 + (yv + i) % 25);
+    for (NodeId i = 0; i < 5; ++i) {
+      sets[2].emplace_back(yv, 700 + (yv + i) % 25);
+    }
   }
   for (NodeId zv = 600; zv < 630; ++zv) {
     for (NodeId wv = 700; wv < 725; ++wv) {
-      if ((zv + wv) % 3 != 0) ag.Set(chord).Add(zv, wv);
+      if ((zv + wv) % 3 != 0) sets[chord].emplace_back(zv, wv);
     }
   }
-  for (uint32_t e = 0; e < ag.NumEdgeSets(); ++e) ag.MarkMaterialized(e);
+  for (uint32_t e = 0; e < ag.NumEdgeSets(); ++e) {
+    ag.Materialize(e, std::move(sets[e]));
+  }
   // 1800 rejections: the chord bites.
   ExpectInvariantStats(q, ag, PlanOrder({0, 1, 2}),
                        Expected(3600, 6840, 1800));

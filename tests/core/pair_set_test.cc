@@ -1,35 +1,27 @@
 #include <algorithm>
+#include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/answer_graph.h"
+#include "util/csr.h"
+#include "util/random.h"
 
 namespace wireframe {
 namespace {
 
 TEST(PairSetTest, AddAndContains) {
-  PairSet s;
-  EXPECT_TRUE(s.Add(1, 2));
+  PairSet s({{1, 2}});
   EXPECT_TRUE(s.Contains(1, 2));
   EXPECT_FALSE(s.Contains(2, 1));
   EXPECT_EQ(s.Size(), 1u);
 }
 
-TEST(PairSetTest, AddDeduplicates) {
-  PairSet s;
-  EXPECT_TRUE(s.Add(1, 2));
-  EXPECT_FALSE(s.Add(1, 2));
-  EXPECT_EQ(s.Size(), 1u);
-  EXPECT_EQ(s.SrcCount(1), 1u);
-}
-
 TEST(PairSetTest, EraseUpdatesCounts) {
-  PairSet s;
-  s.Add(1, 2);
-  s.Add(1, 3);
-  s.Add(4, 2);
+  PairSet s({{1, 2}, {1, 3}, {4, 2}});
   EXPECT_EQ(s.SrcCount(1), 2u);
   EXPECT_EQ(s.DstCount(2), 2u);
   EXPECT_TRUE(s.Erase(1, 2));
@@ -41,10 +33,7 @@ TEST(PairSetTest, EraseUpdatesCounts) {
 }
 
 TEST(PairSetTest, DistinctCounts) {
-  PairSet s;
-  s.Add(1, 2);
-  s.Add(1, 3);
-  s.Add(4, 3);
+  PairSet s({{1, 2}, {1, 3}, {4, 3}});
   EXPECT_EQ(s.DistinctSrcCount(), 2u);
   EXPECT_EQ(s.DistinctDstCount(), 2u);
   s.Erase(1, 2);
@@ -53,10 +42,7 @@ TEST(PairSetTest, DistinctCounts) {
 }
 
 TEST(PairSetTest, ForEachFwdSkipsTombstones) {
-  PairSet s;
-  s.Add(1, 2);
-  s.Add(1, 3);
-  s.Add(1, 4);
+  PairSet s({{1, 2}, {1, 3}, {1, 4}});
   s.Erase(1, 3);
   std::vector<NodeId> got;
   s.ForEachFwd(1, [&](NodeId v) { got.push_back(v); });
@@ -66,9 +52,7 @@ TEST(PairSetTest, ForEachFwdSkipsTombstones) {
 }
 
 TEST(PairSetTest, ForEachBwd) {
-  PairSet s;
-  s.Add(1, 9);
-  s.Add(2, 9);
+  PairSet s({{1, 9}, {2, 9}});
   s.Erase(1, 9);
   std::vector<NodeId> got;
   s.ForEachBwd(9, [&](NodeId u) { got.push_back(u); });
@@ -76,10 +60,7 @@ TEST(PairSetTest, ForEachBwd) {
 }
 
 TEST(PairSetTest, ForEachPairVisitsLiveOnly) {
-  PairSet s;
-  s.Add(1, 2);
-  s.Add(3, 4);
-  s.Add(5, 6);
+  PairSet s({{1, 2}, {3, 4}, {5, 6}});
   s.Erase(3, 4);
   std::set<std::pair<NodeId, NodeId>> got;
   s.ForEachPair([&](NodeId u, NodeId v) { got.insert({u, v}); });
@@ -87,10 +68,7 @@ TEST(PairSetTest, ForEachPairVisitsLiveOnly) {
 }
 
 TEST(PairSetTest, ForEachSrcDst) {
-  PairSet s;
-  s.Add(1, 2);
-  s.Add(1, 3);
-  s.Add(4, 3);
+  PairSet s({{1, 2}, {1, 3}, {4, 3}});
   std::set<NodeId> srcs, dsts;
   s.ForEachSrc([&](NodeId u) { srcs.insert(u); });
   s.ForEachDst([&](NodeId v) { dsts.insert(v); });
@@ -99,8 +77,9 @@ TEST(PairSetTest, ForEachSrcDst) {
 }
 
 TEST(PairSetTest, EraseDuringFwdIterationIsSafe) {
-  PairSet s;
-  for (NodeId v = 0; v < 10; ++v) s.Add(7, 100 + v);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId v = 0; v < 10; ++v) pairs.emplace_back(7, 100 + v);
+  PairSet s(pairs);
   std::vector<NodeId> visited;
   s.ForEachFwd(7, [&](NodeId v) {
     visited.push_back(v);
@@ -111,29 +90,28 @@ TEST(PairSetTest, EraseDuringFwdIterationIsSafe) {
   EXPECT_EQ(s.SrcCount(7), 0u);
 }
 
-TEST(PairSetShardTest, MergeShardMatchesDirectAdds) {
-  // Build the same pair set twice: direct Adds in one stream, and the
-  // same stream partitioned into shards merged in order. Everything
-  // observable must coincide.
+TEST(PairSetShardTest, ConcatShardsMatchesOneList) {
+  // Build the same pair set twice: from one list, and from the same list
+  // partitioned into shards concatenated in order. Everything observable
+  // must coincide.
   std::vector<std::pair<NodeId, NodeId>> pairs;
   for (NodeId u = 0; u < 40; ++u) {
     for (NodeId v = 0; v < 7; ++v) pairs.emplace_back(u, (u + v) % 25);
   }
 
-  PairSet direct;
-  for (auto [u, v] : pairs) direct.Add(u, v);
+  PairSet direct(pairs);
 
-  PairSet merged;
+  std::vector<PairSetShard> shards;
   constexpr size_t kShardSize = 23;  // deliberately not a divisor
   for (size_t begin = 0; begin < pairs.size(); begin += kShardSize) {
-    PairSetShard shard;
+    PairSetShard& shard = shards.emplace_back();
     const size_t end = std::min(pairs.size(), begin + kShardSize);
     for (size_t i = begin; i < end; ++i) {
       shard.Add(pairs[i].first, pairs[i].second);
     }
     EXPECT_EQ(shard.Size(), end - begin);
-    merged.MergeShard(shard);
   }
+  PairSet merged(ConcatShards(shards));
 
   ASSERT_EQ(merged.Size(), direct.Size());
   EXPECT_EQ(merged.DistinctSrcCount(), direct.DistinctSrcCount());
@@ -149,36 +127,21 @@ TEST(PairSetShardTest, MergeShardMatchesDirectAdds) {
   }
 }
 
-TEST(PairSetShardTest, MergeShardDeduplicatesAcrossShards) {
-  PairSet set;
-  PairSetShard a, b;
-  a.Add(1, 2);
-  a.Add(3, 4);
-  b.Add(1, 2);  // duplicate of a's pair
-  b.Add(5, 6);
-  EXPECT_EQ(set.MergeShard(a), 2u);
-  EXPECT_EQ(set.MergeShard(b), 1u) << "duplicate must not re-insert";
-  EXPECT_EQ(set.Size(), 3u);
-  EXPECT_EQ(set.SrcCount(1), 1u);
-}
-
 TEST(PairSetShardTest, EmptyShardIsANoOp) {
-  PairSet set;
-  set.Add(7, 8);
-  PairSetShard empty;
-  EXPECT_TRUE(empty.Empty());
-  EXPECT_EQ(set.MergeShard(empty), 0u);
+  std::vector<PairSetShard> shards(2);
+  shards[0].Add(7, 8);
+  EXPECT_TRUE(shards[1].Empty());
+  PairSet set(ConcatShards(shards));
   EXPECT_EQ(set.Size(), 1u);
+  EXPECT_TRUE(set.Contains(7, 8));
 }
 
 TEST(PairSetTest, FreezeKeepsEveryObservable) {
-  PairSet mutable_set, frozen_set;
+  std::vector<std::pair<NodeId, NodeId>> pairs;
   for (NodeId u = 0; u < 30; ++u) {
-    for (NodeId v = 0; v < 9; ++v) {
-      mutable_set.Add(u, (u * 3 + v) % 40);
-      frozen_set.Add(u, (u * 3 + v) % 40);
-    }
+    for (NodeId v = 0; v < 9; ++v) pairs.emplace_back(u, (u * 3 + v) % 40);
   }
+  PairSet mutable_set(pairs), frozen_set(pairs);
   // Erase a slice so freezing has tombstones to skip.
   for (NodeId u = 0; u < 30; u += 3) {
     mutable_set.Erase(u, (u * 3) % 40);
@@ -216,8 +179,7 @@ TEST(PairSetTest, FreezeKeepsEveryObservable) {
 }
 
 TEST(PairSetTest, FreezeIsIdempotent) {
-  PairSet s;
-  s.Add(1, 2);
+  PairSet s({{1, 2}});
   s.Freeze();
   s.Freeze();
   EXPECT_EQ(s.Size(), 1u);
@@ -234,9 +196,10 @@ TEST(PairSetTest, FreezeOfEmptySet) {
 }
 
 TEST(PairSetTest, EraseSrcSweepsExactlyTheLivePairs) {
-  PairSet s;
-  for (NodeId v = 0; v < 12; ++v) s.Add(5, 100 + v);
-  s.Add(6, 100);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId v = 0; v < 12; ++v) pairs.emplace_back(5, 100 + v);
+  pairs.emplace_back(6, 100);
+  PairSet s(pairs);
   s.Erase(5, 103);  // pre-existing tombstone the sweep must skip
   std::vector<NodeId> erased;
   const uint32_t n = s.EraseSrc(5, [&](NodeId v) { erased.push_back(v); });
@@ -245,7 +208,7 @@ TEST(PairSetTest, EraseSrcSweepsExactlyTheLivePairs) {
   EXPECT_EQ(s.SrcCount(5), 0u);
   EXPECT_EQ(s.Size(), 1u);
   EXPECT_TRUE(s.Contains(6, 100));
-  // The sweep is reverse over the append-order list.
+  // The sweep is reverse over the sorted span.
   EXPECT_EQ(erased.front(), 111u);
   // A second sweep is a no-op.
   EXPECT_EQ(s.EraseSrc(5, [&](NodeId) { FAIL() << "nothing left"; }), 0u);
@@ -254,9 +217,10 @@ TEST(PairSetTest, EraseSrcSweepsExactlyTheLivePairs) {
 }
 
 TEST(PairSetTest, EraseDstSweepsExactlyTheLivePairs) {
-  PairSet s;
-  for (NodeId u = 0; u < 8; ++u) s.Add(200 + u, 9);
-  s.Add(200, 10);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId u = 0; u < 8; ++u) pairs.emplace_back(200 + u, 9);
+  pairs.emplace_back(200, 10);
+  PairSet s(pairs);
   s.Erase(204, 9);
   std::vector<NodeId> erased;
   const uint32_t n = s.EraseDst(9, [&](NodeId u) { erased.push_back(u); });
@@ -272,22 +236,25 @@ TEST(PairSetTest, EraseDstSweepsExactlyTheLivePairs) {
 // the former DCHECK-only guard would have been silent memory corruption;
 // that regression is exactly what they pin down.
 TEST(PairSetDeathTest, FrozenMutatorsDieInAllBuildTypes) {
-  PairSet s;
-  s.Add(1, 2);
+  PairSet s({{1, 2}});
   s.Freeze();
   ASSERT_TRUE(s.IsFrozen());
-  EXPECT_DEATH(s.Add(3, 4), "frozen");
   EXPECT_DEATH(s.Erase(1, 2), "frozen");
   EXPECT_DEATH(s.EraseSrc(1, [](NodeId) {}), "frozen");
   EXPECT_DEATH(s.EraseDst(2, [](NodeId) {}), "frozen");
-  PairSetShard shard;
-  shard.Add(7, 8);
-  EXPECT_DEATH(s.MergeShard(shard), "frozen");
+}
+
+// A set is built from a duplicate-free list and does not deduplicate;
+// debug builds check the contract.
+TEST(PairSetDeathTest, DuplicateInputFailsTheDebugCheck) {
+  EXPECT_DEBUG_DEATH({ PairSet set({{1, 2}, {3, 4}, {1, 2}}); },
+                     "duplicates");
 }
 
 TEST(PairSetTest, FrozenByteSizeIsZeroUntilFrozenThenPositive) {
-  PairSet s;
-  for (NodeId v = 0; v < 16; ++v) s.Add(1, 100 + v);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId v = 0; v < 16; ++v) pairs.emplace_back(1, 100 + v);
+  PairSet s(pairs);
   EXPECT_EQ(s.FrozenByteSize(), 0u);
   s.Freeze();
   // At minimum the fwd+bwd neighbor arrays: 2 directions x 16 pairs.
@@ -295,10 +262,11 @@ TEST(PairSetTest, FrozenByteSizeIsZeroUntilFrozenThenPositive) {
 }
 
 TEST(PairSetTest, StressManyPairs) {
-  PairSet s;
+  std::vector<std::pair<NodeId, NodeId>> pairs;
   for (NodeId u = 0; u < 100; ++u) {
-    for (NodeId v = 0; v < 20; ++v) s.Add(u, v);
+    for (NodeId v = 0; v < 20; ++v) pairs.emplace_back(u, v);
   }
+  PairSet s(pairs);
   EXPECT_EQ(s.Size(), 2000u);
   EXPECT_EQ(s.DistinctSrcCount(), 100u);
   EXPECT_EQ(s.DistinctDstCount(), 20u);
@@ -308,6 +276,155 @@ TEST(PairSetTest, StressManyPairs) {
   EXPECT_EQ(s.Size(), 1000u);
   EXPECT_EQ(s.DistinctSrcCount(), 50u);
   EXPECT_EQ(s.DistinctDstCount(), 20u);
+}
+
+// Seeded model test: a PairSet built from a random pair list, in each of
+// the three input orders, then shrunk by random Erase / EraseSrc /
+// EraseDst calls, must agree with a std::set model on every observable —
+// before and after Freeze.
+TEST(PairSetTest, MatchesStdSetModelUnderRandomOps) {
+  using Model = std::set<std::pair<NodeId, NodeId>>;
+  Rng rng(1234);
+  for (int trial = 0; trial < 60; ++trial) {
+    // Small id ranges make shared endpoints (and cascading counts) common;
+    // a sparse range every few trials skips Csr's direct index.
+    const NodeId id_range = trial % 4 == 3 ? 1u << 30 : 12;
+    Model model;
+    const uint64_t draws = rng.Uniform(80);
+    for (uint64_t i = 0; i < draws; ++i) {
+      model.emplace(static_cast<NodeId>(rng.Uniform(id_range)),
+                    static_cast<NodeId>(rng.Uniform(id_range)));
+    }
+    std::vector<std::pair<NodeId, NodeId>> input(model.begin(), model.end());
+    switch (trial % 3) {
+      case 0:  // (src, dst) order, as a forward extension or chord yields
+        break;
+      case 1:  // (dst, src) order, as a backward extension yields
+        std::sort(input.begin(), input.end(), [](auto a, auto b) {
+          return std::make_pair(a.second, a.first) <
+                 std::make_pair(b.second, b.first);
+        });
+        break;
+      default:  // no order
+        for (size_t i = input.size(); i > 1; --i) {
+          std::swap(input[i - 1], input[rng.Uniform(i)]);
+        }
+        break;
+    }
+    PairSet set(input);
+
+    std::vector<NodeId> ids;  // every endpoint ever present, plus a miss
+    for (const auto& [u, v] : model) {
+      ids.push_back(u);
+      ids.push_back(v);
+    }
+    ids.push_back(id_range + 1);
+
+    auto check = [&](const char* stage) {
+      SCOPED_TRACE(std::string(stage) + ", trial " + std::to_string(trial));
+      ASSERT_EQ(set.Size(), model.size());
+      std::map<NodeId, uint32_t> src_count, dst_count;
+      for (const auto& [u, v] : model) {
+        ++src_count[u];
+        ++dst_count[v];
+      }
+      EXPECT_EQ(set.DistinctSrcCount(), src_count.size());
+      EXPECT_EQ(set.DistinctDstCount(), dst_count.size());
+      for (NodeId id : ids) {
+        EXPECT_EQ(set.SrcCount(id), src_count.count(id) ? src_count[id] : 0);
+        EXPECT_EQ(set.DstCount(id), dst_count.count(id) ? dst_count[id] : 0);
+        std::vector<NodeId> fwd, bwd, want_fwd, want_bwd;
+        set.ForEachFwd(id, [&](NodeId v) { fwd.push_back(v); });
+        set.ForEachBwd(id, [&](NodeId u) { bwd.push_back(u); });
+        for (const auto& [u, v] : model) {
+          if (u == id) want_fwd.push_back(v);
+          if (v == id) want_bwd.push_back(u);
+        }
+        std::sort(want_bwd.begin(), want_bwd.end());
+        EXPECT_EQ(fwd, want_fwd) << "fwd of " << id;
+        EXPECT_EQ(bwd, want_bwd) << "bwd of " << id;
+        for (NodeId other : ids) {
+          EXPECT_EQ(set.Contains(id, other), model.count({id, other}) == 1);
+        }
+      }
+      Model pairs;
+      set.ForEachPair([&](NodeId u, NodeId v) {
+        EXPECT_TRUE(pairs.emplace(u, v).second) << "pair visited twice";
+      });
+      EXPECT_EQ(pairs, model);
+      std::vector<NodeId> srcs, dsts, want_srcs, want_dsts;
+      set.ForEachSrc([&](NodeId u) { srcs.push_back(u); });
+      set.ForEachDst([&](NodeId v) { dsts.push_back(v); });
+      for (const auto& [u, c] : src_count) want_srcs.push_back(u);
+      for (const auto& [v, c] : dst_count) want_dsts.push_back(v);
+      EXPECT_EQ(srcs, want_srcs);
+      EXPECT_EQ(dsts, want_dsts);
+    };
+    check("built");
+
+    const uint64_t ops = rng.Uniform(12);
+    for (uint64_t op = 0; op < ops; ++op) {
+      const NodeId a = ids[rng.Uniform(ids.size())];
+      const NodeId b = ids[rng.Uniform(ids.size())];
+      switch (rng.Uniform(3)) {
+        case 0:
+          EXPECT_EQ(set.Erase(a, b), model.erase({a, b}) == 1);
+          break;
+        case 1: {
+          Model erased;
+          const uint32_t n =
+              set.EraseSrc(a, [&](NodeId v) { erased.emplace(a, v); });
+          EXPECT_EQ(n, erased.size());
+          for (auto it = model.begin(); it != model.end();) {
+            if (it->first == a) {
+              EXPECT_EQ(erased.count(*it), 1u);
+              it = model.erase(it);
+            } else {
+              ++it;
+            }
+          }
+          EXPECT_EQ(set.SrcCount(a), 0u);
+          break;
+        }
+        default: {
+          Model erased;
+          const uint32_t n =
+              set.EraseDst(b, [&](NodeId u) { erased.emplace(u, b); });
+          EXPECT_EQ(n, erased.size());
+          for (auto it = model.begin(); it != model.end();) {
+            if (it->second == b) {
+              EXPECT_EQ(erased.count(*it), 1u);
+              it = model.erase(it);
+            } else {
+              ++it;
+            }
+          }
+          EXPECT_EQ(set.DstCount(b), 0u);
+          break;
+        }
+      }
+    }
+    check("after erasures");
+
+    set.Freeze();
+    check("frozen");
+    std::vector<std::pair<NodeId, NodeId>> live(model.begin(), model.end());
+    std::vector<std::pair<NodeId, NodeId>> reversed;
+    for (const auto& [u, v] : live) reversed.emplace_back(v, u);
+    const Csr want_fwd = Csr::Build(live);
+    const Csr want_bwd = Csr::Build(reversed);
+    for (NodeId id : ids) {
+      const std::span<const NodeId> fwd = set.FwdNeighbors(id);
+      const std::span<const NodeId> bwd = set.BwdNeighbors(id);
+      const std::span<const NodeId> wf = want_fwd.Neighbors(id);
+      const std::span<const NodeId> wb = want_bwd.Neighbors(id);
+      EXPECT_TRUE(std::equal(fwd.begin(), fwd.end(), wf.begin(), wf.end()))
+          << "frozen fwd span of " << id;
+      EXPECT_TRUE(std::equal(bwd.begin(), bwd.end(), wb.begin(), wb.end()))
+          << "frozen bwd span of " << id;
+    }
+    EXPECT_EQ(set.FrozenByteSize(), want_fwd.ByteSize() + want_bwd.ByteSize());
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Freeze equivalence: the engine's frozen CSR AnswerGraph must hold
-// exactly the pairs of the raw generator's build-form AG for the same
+// exactly the pairs of the raw generator's unfrozen AG for the same
 // plan, and phase 2 over it must produce exactly the rows of the NJ
 // backtracking oracle — and of every other baseline engine — on the
 // paper fixtures and randomized workloads, at every thread count.
@@ -72,7 +72,7 @@ WfRun RunWf(const Database& db, const Catalog& cat, const QueryGraph& q,
   return run;
 }
 
-/// The reference AG: the raw generator's build form for `plan`, under
+/// The reference AG: the raw generator's unfrozen AG for `plan`, under
 /// the engine's phase-1 options (WireframeOptions defaults).
 AgContent BuildFormAg(const Database& db, const Catalog& cat,
                       const QueryGraph& q, const AgPlan& plan) {

@@ -2,6 +2,8 @@
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,8 +21,9 @@ std::shared_ptr<const CachedAg> MakeAg(uint32_t pairs) {
   const VarId x = q.AddVar("x"), y = q.AddVar("y");
   q.AddEdge(x, 0, y);
   auto ag = std::make_shared<AnswerGraph>(q);
-  for (uint32_t i = 0; i < pairs; ++i) ag->Set(0).Add(i, i + 1);
-  ag->MarkMaterialized(0);
+  std::vector<std::pair<NodeId, NodeId>> edge;
+  for (uint32_t i = 0; i < pairs; ++i) edge.emplace_back(i, i + 1);
+  ag->Materialize(0, std::move(edge));
   ag->Freeze();
   auto value = std::make_shared<CachedAg>();
   value->ag = std::move(ag);
