@@ -14,7 +14,8 @@
 // synthetic data, in-process baselines).
 //
 // Usage: bench_table1_snowflake [--scale=2.0] [--timeout=20] [--reps=2]
-//                               [--threads=1] [--json=<path>]
+//                               [--threads=1] [--engines=PG,WF,VT,MD,NJ]
+//                               [--json=<path>]
 
 #include <iostream>
 
@@ -47,6 +48,9 @@ int main(int argc, char** argv) {
   bench.repetitions = static_cast<int>(flags.GetInt("reps", 2));
   bench.verbose = flags.GetBool("verbose", false);
   bench.threads = static_cast<uint32_t>(flags.GetInt("threads", 1));
+  if (flags.Has("engines")) {
+    bench.engines = ParseEngineList(flags.GetString("engines", ""));
+  }
   JsonResultWriter json;
   if (flags.Has("json")) bench.json = &json;
   Table1Harness harness(db, catalog, bench);

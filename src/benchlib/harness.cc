@@ -1,11 +1,31 @@
 #include "benchlib/harness.h"
 
+#include <cstdlib>
+#include <iostream>
 #include <ostream>
 
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace wireframe {
+
+std::vector<std::string> ParseEngineList(const std::string& value) {
+  std::vector<std::string> engines;
+  size_t begin = 0;
+  while (begin <= value.size()) {
+    size_t end = value.find(',', begin);
+    if (end == std::string::npos) end = value.size();
+    const std::string name = value.substr(begin, end - begin);
+    if (name.empty() || MakeEngine(name) == nullptr) {
+      std::cerr << "--engines: unknown engine '" << name << "' in '" << value
+                << "'\n";
+      std::exit(2);
+    }
+    engines.push_back(name);
+    begin = end + 1;
+  }
+  return engines;
+}
 
 BenchRecord ToRecord(const std::string& engine, const std::string& query_id,
                      const BenchCell& cell) {

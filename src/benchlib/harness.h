@@ -63,6 +63,11 @@ struct BenchCell {
   double phase2_seconds = 0.0;
 };
 
+/// Parses a driver's --engines value: comma-separated engine names
+/// ("WF" or "WF,NJ"), in column order. Exits with a message on an empty
+/// list or a name MakeEngine does not know.
+std::vector<std::string> ParseEngineList(const std::string& value);
+
 /// Flattens one bench cell into the machine-readable record shape.
 BenchRecord ToRecord(const std::string& engine, const std::string& query_id,
                      const BenchCell& cell);

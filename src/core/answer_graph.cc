@@ -4,7 +4,6 @@
 #include <tuple>
 #include <utility>
 
-#include "util/hash.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -39,37 +38,40 @@ PairSet::PairSet(std::vector<std::pair<NodeId, NodeId>> pairs) {
   WF_DCHECK(std::adjacent_find(pairs.begin(), pairs.end()) == pairs.end())
       << "PairSet input has duplicates";
   const size_t n = pairs.size();
-  Csr sorted = Csr::BuildFromSorted(n, [&](size_t i) { return pairs[i]; });
-  // The other direction sorts (neighbor, position in `pairs`): among equal
-  // neighbors positions ascend with their keys, so the order is
-  // (neighbor, key), and each entry keeps its pair's position.
-  std::vector<uint64_t> order(n);
-  for (size_t i = 0; i < n; ++i) {
-    order[i] = PackPair(pairs[i].second, static_cast<NodeId>(i));
-  }
-  std::sort(order.begin(), order.end());
-  Csr other = Csr::BuildFromSorted(n, [&](size_t j) {
-    const auto [neighbor, i] = UnpackPair(order[j]);
-    return std::make_pair(neighbor, pairs[i].first);
-  });
-  bwd_to_fwd_.resize(n);
-  for (size_t j = 0; j < n; ++j) {
-    const uint32_t i = static_cast<uint32_t>(order[j]);
-    if (dst_major) {
-      bwd_to_fwd_[i] = static_cast<uint32_t>(j);
-    } else {
-      bwd_to_fwd_[j] = i;
+  auto get = [&pairs](size_t i) { return pairs[i]; };
+  Csr sorted = Csr::BuildFromSorted(n, get);
+  std::vector<uint32_t> positions;
+  Csr other = Csr::BuildTransposed(n, get, &positions);
+  if (dst_major) {
+    bwd_to_fwd_.resize(n);
+    for (size_t j = 0; j < n; ++j) {
+      bwd_to_fwd_[positions[j]] = static_cast<uint32_t>(j);
     }
+  } else {
+    bwd_to_fwd_ = std::move(positions);
   }
   fwd_ = std::move(dst_major ? other : sorted);
   bwd_ = std::move(dst_major ? sorted : other);
 
-  for (auto [csr, counters] : {std::pair{&fwd_, &src_live_},
-                               std::pair{&bwd_, &dst_live_}}) {
-    counters->assign(csr->NumEntries(), 0);
-    for (size_t i = 0; i < csr->Nodes().size(); ++i) {
-      const Csr::Range r = csr->RangeAt(i);
-      (*counters)[r.begin] = r.end - r.begin;
+  // Counters at span starts. dst_at_ first holds each forward entry's own
+  // source span start; the backward sweep, which reaches every forward
+  // entry exactly once, moves it to src_at_ and writes the target's.
+  src_live_.assign(n, 0);
+  dst_live_.assign(n, 0);
+  dst_at_.resize(n);
+  src_at_.resize(n);
+  for (size_t i = 0; i < fwd_.Nodes().size(); ++i) {
+    const Csr::Range r = fwd_.RangeAt(i);
+    src_live_[r.begin] = r.end - r.begin;
+    std::fill(dst_at_.begin() + r.begin, dst_at_.begin() + r.end, r.begin);
+  }
+  for (size_t i = 0; i < bwd_.Nodes().size(); ++i) {
+    const Csr::Range r = bwd_.RangeAt(i);
+    dst_live_[r.begin] = r.end - r.begin;
+    for (uint32_t j = r.begin; j < r.end; ++j) {
+      const uint32_t k = bwd_to_fwd_[j];
+      src_at_[j] = dst_at_[k];
+      dst_at_[k] = r.begin;
     }
   }
   live_.assign((n + 63) / 64, ~uint64_t{0});
@@ -86,7 +88,7 @@ bool PairSet::Erase(NodeId u, NodeId v) {
   if (i == span.size() || span[i] != v) return false;
   const uint32_t k = r.begin + static_cast<uint32_t>(i);
   if (!IsLive(k)) return false;
-  Drop(k, r.begin, bwd_.RangeOf(v).begin);
+  Drop(k, r.begin, dst_at_[k]);
   return true;
 }
 
@@ -98,6 +100,8 @@ void PairSet::Freeze() {
   bwd_to_fwd_ = std::vector<uint32_t>();
   src_live_ = std::vector<uint32_t>();
   dst_live_ = std::vector<uint32_t>();
+  dst_at_ = std::vector<uint32_t>();
+  src_at_ = std::vector<uint32_t>();
   WF_DCHECK(size_ == fwd_.NumEntries() &&
             distinct_src_ == fwd_.Nodes().size() &&
             distinct_dst_ == bwd_.Nodes().size())
@@ -183,13 +187,16 @@ uint32_t AnswerGraph::CountAt(uint32_t index, VarId v, NodeId c) const {
 }
 
 bool AnswerGraph::IsAlive(VarId v, NodeId c, uint32_t except) const {
-  bool touched = false;
+  return PilotSet(v, except) != kNoSet && LiveBeyond(v, c, except, kNoSet);
+}
+
+bool AnswerGraph::LiveBeyond(VarId v, NodeId c, uint32_t except,
+                             uint32_t pilot) const {
   for (uint32_t e : incident_[v]) {
-    if (e == except || !materialized_[e]) continue;
-    touched = true;
+    if (e == except || e == pilot || !materialized_[e]) continue;
     if (CountAt(e, v, c) == 0) return false;
   }
-  return touched;
+  return true;
 }
 
 uint32_t AnswerGraph::PilotSet(VarId v, uint32_t except) const {

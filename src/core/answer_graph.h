@@ -51,14 +51,20 @@ std::vector<std::pair<NodeId, NodeId>> ConcatShards(
 /// The set is two Csr directions over the same pairs (util/csr.h: sorted
 /// neighbor spans, prefix-offset indexed — the shape of the triple
 /// store's indexes), built once from the pair list of one extension level
-/// or chord. Phase 1 then deletes pairs, one at a time (edge burnback) or
-/// wholesale per endpoint node (node burnback), through a liveness
-/// overlay sized by the set, never by the dictionary:
+/// or chord: the list's own direction as is, the other by a radix sort on
+/// the neighbor id (Csr::BuildTransposed). Phase 1 then deletes pairs, one
+/// at a time (edge burnback) or wholesale per endpoint node (node
+/// burnback), through a liveness overlay sized by the set, never by the
+/// dictionary:
 ///
 ///   - one live bit per forward entry;
 ///   - for each backward entry, the position of its forward entry;
 ///   - per-node live counters in each direction, kept at the node's span
-///     start, so a node's counter is one Csr lookup away.
+///     start;
+///   - where the far endpoint's counter is, per entry of each direction:
+///     a forward entry's target counter and a backward entry's source
+///     counter. An erasure finds both counters it drops from the entry
+///     itself, with no Csr lookup per erased pair.
 ///
 /// Every reader scans spans and skips entries whose bit is clear; nothing
 /// is hashed. Freeze() compacts the live entries into fresh Csrs in one
@@ -80,8 +86,9 @@ class PairSet {
   /// in debug builds; extension frontiers are distinct, store spans are
   /// duplicate-free and chord lists are deduplicated). A list already
   /// sorted by (src, dst) or by (dst, src) — what extension levels and
-  /// chord lists produce — becomes that direction's Csr as is, and only
-  /// the other direction is sorted; any other order is sorted first.
+  /// chord lists produce — becomes that direction's Csr as is, and the
+  /// other direction is radix-built from it in linear passes; any other
+  /// order is sorted first.
   explicit PairSet(std::vector<std::pair<NodeId, NodeId>> pairs);
 
   /// True iff (u, v) is live.
@@ -97,15 +104,18 @@ class PairSet {
   bool Erase(NodeId u, NodeId v);
 
   /// Erases every live pair (u, *) in one reverse sweep over u's span,
-  /// invoking fn(v) per erased pair after the counters have dropped.
-  /// Returns the number erased, which is checked equal to SrcCount(u)
-  /// before the sweep (burnback's accounting must stay exact).
+  /// invoking fn(v, DstCount(v)) per erased pair after the counters have
+  /// dropped: the second argument is how many live pairs v has left, so a
+  /// caller sees v's 1 -> 0 transition without a lookup. Returns the
+  /// number erased, which is checked equal to SrcCount(u) before the
+  /// sweep (burnback's accounting must stay exact).
   template <typename Fn>
   uint32_t EraseSrc(NodeId u, Fn&& fn) {
     return EraseAll</*kAtSrc=*/true>(u, fn);
   }
 
-  /// Mirror of EraseSrc for pairs (*, v); invokes fn(u) per erased pair.
+  /// Mirror of EraseSrc for pairs (*, v); invokes fn(u, SrcCount(u)) per
+  /// erased pair.
   template <typename Fn>
   uint32_t EraseDst(NodeId v, Fn&& fn) {
     return EraseAll</*kAtSrc=*/false>(v, fn);
@@ -131,15 +141,28 @@ class PairSet {
 
   /// Live pairs with source u / target v.
   uint32_t SrcCount(NodeId u) const {
-    return LiveCount(fwd_, src_live_, u);
+    return LiveIn(src_live_, fwd_.RangeOf(u));
   }
   uint32_t DstCount(NodeId v) const {
-    return LiveCount(bwd_, dst_live_, v);
+    return LiveIn(dst_live_, bwd_.RangeOf(v));
   }
 
   /// Distinct live sources / targets.
   uint64_t DistinctSrcCount() const { return distinct_src_; }
   uint64_t DistinctDstCount() const { return distinct_dst_; }
+
+  /// Every source / target the set was built with, ascending, including
+  /// those with no live pair left: the i-th has SrcCountAt(i) /
+  /// DstCountAt(i) live pairs. Positional, for merges against other
+  /// sorted key lists.
+  std::span<const NodeId> SrcKeys() const { return fwd_.Nodes(); }
+  std::span<const NodeId> DstKeys() const { return bwd_.Nodes(); }
+  uint32_t SrcCountAt(size_t i) const {
+    return LiveIn(src_live_, fwd_.RangeAt(i));
+  }
+  uint32_t DstCountAt(size_t i) const {
+    return LiveIn(dst_live_, bwd_.RangeAt(i));
+  }
 
   /// Raw frozen spans (program error before Freeze, when they may still
   /// hold erased entries): the sorted duplicate-free inputs the span
@@ -217,12 +240,10 @@ class PairSet {
     return bwd_to_fwd_.empty() || IsLive(bwd_to_fwd_[j]);
   }
 
-  /// Live entries of `key` in one direction: its counter, or its span
+  /// Live entries of the key whose span is `r`: its counter, or its span
   /// length without an overlay.
-  static uint32_t LiveCount(const Csr& csr,
-                            const std::vector<uint32_t>& counters,
-                            NodeId key) {
-    const Csr::Range r = csr.RangeOf(key);
+  static uint32_t LiveIn(const std::vector<uint32_t>& counters,
+                         Csr::Range r) {
     if (r.empty()) return 0;
     return counters.empty() ? r.end - r.begin : counters[r.begin];
   }
@@ -241,14 +262,16 @@ class PairSet {
   }
 
   /// Body of EraseSrc (kAtSrc) and EraseDst: sweeps `key`'s span in its
-  /// own direction and reaches each entry's live bit through the forward
-  /// entry it mirrors.
+  /// own direction, reaches each entry's live bit through the forward
+  /// entry it mirrors and the far endpoint's counter through the entry's
+  /// recorded position.
   template <bool kAtSrc, typename Fn>
   uint32_t EraseAll(NodeId key, Fn& fn) {
     WF_CHECK(!frozen_) << (kAtSrc ? "EraseSrc" : "EraseDst")
                        << " on a frozen PairSet";
     const Csr& own = kAtSrc ? fwd_ : bwd_;
-    const Csr& other = kAtSrc ? bwd_ : fwd_;
+    const std::vector<uint32_t>& far_at = kAtSrc ? dst_at_ : src_at_;
+    const std::vector<uint32_t>& far_live = kAtSrc ? dst_live_ : src_live_;
     const Csr::Range r = own.RangeOf(key);
     if (r.empty()) return 0;
     const uint32_t live_before = (kAtSrc ? src_live_ : dst_live_)[r.begin];
@@ -256,24 +279,23 @@ class PairSet {
     for (uint32_t j = r.end; j-- > r.begin;) {
       const uint32_t k = kAtSrc ? j : bwd_to_fwd_[j];
       if (!IsLive(k)) continue;
-      const NodeId w = own.Entries()[j];
-      const uint32_t w_begin = other.RangeOf(w).begin;
-      Drop(k, kAtSrc ? r.begin : w_begin, kAtSrc ? w_begin : r.begin);
+      const uint32_t w_at = far_at[j];
+      Drop(k, kAtSrc ? r.begin : w_at, kAtSrc ? w_at : r.begin);
       ++erased;
-      fn(w);
+      fn(own.Entries()[j], far_live[w_at]);
     }
     WF_DCHECK(erased == live_before) << "erase sweep accounting drifted";
     return erased;
   }
 
-  /// Clears live forward entry k, whose source span starts at src_begin
-  /// and whose target's backward span starts at dst_begin, and drops
-  /// every counter it contributed to.
-  void Drop(uint32_t k, uint32_t src_begin, uint32_t dst_begin) {
+  /// Clears live forward entry k, whose source's counter sits at src_at
+  /// and whose target's at dst_at, and drops every counter it contributed
+  /// to.
+  void Drop(uint32_t k, uint32_t src_at, uint32_t dst_at) {
     live_[k >> 6] &= ~(uint64_t{1} << (k & 63));
     --size_;
-    if (--src_live_[src_begin] == 0) --distinct_src_;
-    if (--dst_live_[dst_begin] == 0) --distinct_dst_;
+    if (--src_live_[src_at] == 0) --distinct_src_;
+    if (--dst_live_[dst_at] == 0) --distinct_dst_;
   }
 
   Csr fwd_;
@@ -281,8 +303,14 @@ class PairSet {
   /// The overlay (empty once frozen, and for the empty set).
   std::vector<uint64_t> live_;
   std::vector<uint32_t> bwd_to_fwd_;
+  /// Live counters, at each node's span start in its own direction.
   std::vector<uint32_t> src_live_;
   std::vector<uint32_t> dst_live_;
+  /// Counter positions of the far endpoint: forward entry k's target
+  /// counter is dst_live_[dst_at_[k]], backward entry j's source counter
+  /// is src_live_[src_at_[j]].
+  std::vector<uint32_t> dst_at_;
+  std::vector<uint32_t> src_at_;
   uint64_t size_ = 0;
   uint64_t distinct_src_ = 0;
   uint64_t distinct_dst_ = 0;
@@ -372,17 +400,31 @@ class AnswerGraph {
   /// IsAlive; returns false, visiting nothing, if there is no such set.
   template <typename Fn>
   bool ForEachCandidate(VarId v, Fn&& fn, uint32_t except = kNoSet) const {
-    const uint32_t pilot = PilotSet(v, except);
-    if (pilot == kNoSet) return false;
-    auto visit = [&](NodeId c) {
-      if (IsAlive(v, c, except)) fn(c);
+    return ScanPilot(
+        v, except, [](NodeId) { return false; }, fn);
+  }
+
+  /// Invokes fn(c), ascending, for every node alive at v without edge set
+  /// `index` (IsAlive with except = index) that has no live pair on v's
+  /// side of `index`: the candidates that extending into `index` starved.
+  /// Walks the pilot's live keys (as ForEachCandidate does) in one merge
+  /// with `index`'s sorted keys at v; a key `index` holds with a live
+  /// count is covered and costs no lookup, only the others pay IsAlive.
+  /// Returns false, visiting nothing, if no other materialized set
+  /// constrains v.
+  template <typename Fn>
+  bool ForEachStarved(VarId v, uint32_t index, Fn&& fn) const {
+    const PairSet& fresh = sets_[index];
+    const bool at_src = src_var_[index] == v;
+    const std::span<const NodeId> keys =
+        at_src ? fresh.SrcKeys() : fresh.DstKeys();
+    size_t i = 0;
+    auto covered = [&](NodeId c) {
+      while (i < keys.size() && keys[i] < c) ++i;
+      return i < keys.size() && keys[i] == c &&
+             (at_src ? fresh.SrcCountAt(i) : fresh.DstCountAt(i)) > 0;
     };
-    if (src_var_[pilot] == v) {
-      sets_[pilot].ForEachSrc(visit);
-    } else {
-      sets_[pilot].ForEachDst(visit);
-    }
-    return true;
+    return ScanPilot(v, index, covered, fn);
   }
 
   /// Number of nodes alive at v (linear scan; diagnostics and tests).
@@ -399,6 +441,30 @@ class AnswerGraph {
   /// The materialized incident set of v other than `except` with the
   /// fewest distinct nodes at v, or kNoSet.
   uint32_t PilotSet(VarId v, uint32_t except) const;
+
+  /// True iff c has a live pair on v's side of every materialized
+  /// incident set of v other than `except` and `pilot`: IsAlive for a
+  /// live key of the pilot, without re-checking the pilot.
+  bool LiveBeyond(VarId v, NodeId c, uint32_t except, uint32_t pilot) const;
+
+  /// Body of ForEachCandidate and ForEachStarved: invokes fn(c),
+  /// ascending, for every live key c on v's side of PilotSet(v, except)
+  /// with skip(c) false that is live in v's other sets. Returns false,
+  /// visiting nothing, if there is no pilot.
+  template <typename Skip, typename Fn>
+  bool ScanPilot(VarId v, uint32_t except, Skip&& skip, Fn& fn) const {
+    const uint32_t pilot = PilotSet(v, except);
+    if (pilot == kNoSet) return false;
+    auto visit = [&](NodeId c) {
+      if (!skip(c) && LiveBeyond(v, c, except, pilot)) fn(c);
+    };
+    if (src_var_[pilot] == v) {
+      sets_[pilot].ForEachSrc(visit);
+    } else {
+      sets_[pilot].ForEachDst(visit);
+    }
+    return true;
+  }
 
   uint32_t num_query_edges_ = 0;
   std::vector<PairSet> sets_;

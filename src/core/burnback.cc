@@ -20,10 +20,10 @@ uint64_t Burnback::KillOne(const Death& d, std::vector<std::mutex>* set_mu,
     std::unique_lock<std::mutex> lock;
     if (set_mu != nullptr) lock = std::unique_lock<std::mutex>((*set_mu)[f]);
     PairSet& set = ag_->Set(f);
-    // The erase sweeps call back after the counters dropped, so a zero
-    // count is the neighbor's 1 -> 0 transition, seen exactly once.
-    auto on_erased = [&](NodeId w) {
-      if (ag_->CountAt(f, other, w) == 0) on_death({other, w, d.depth + 1});
+    // The erase sweeps hand back the neighbor's count after it dropped,
+    // so a zero is the neighbor's 1 -> 0 transition, seen exactly once.
+    auto on_erased = [&](NodeId w, uint32_t left) {
+      if (left == 0) on_death({other, w, d.depth + 1});
     };
     erased += at_src ? set.EraseSrc(d.node, on_erased)
                      : set.EraseDst(d.node, on_erased);
@@ -199,12 +199,8 @@ uint64_t Burnback::PruneAfterExtension(uint32_t index, bool src_was_touched,
     // and a bulk seed list is what the parallel drain partitions. The
     // candidates are judged without `index`; a variable no other set
     // constrains has none.
-    ag_->ForEachCandidate(
-        v,
-        [&](NodeId c) {
-          if (ag_->CountAt(index, v, c) == 0) worklist_.push_back({v, c, 1});
-        },
-        index);
+    ag_->ForEachStarved(v, index,
+                        [&](NodeId c) { worklist_.push_back({v, c, 1}); });
     Drain();
   }
   seconds_ += watch.ElapsedSeconds();

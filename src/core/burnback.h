@@ -57,6 +57,17 @@ struct BurnbackOptions {
 /// minus pairs after) are therefore identical for every thread count;
 /// only the diagnostic depth/handoff counters are schedule-dependent.
 ///
+/// Seeding (PruneAfterExtension): the nodes an extension starves are the
+/// candidates of each constrained endpoint, judged without the new set,
+/// that hold no live pair in it. They are found in one merge of the
+/// pilot set's live keys with the new set's sorted keys
+/// (AnswerGraph::ForEachStarved): a key the new set holds with a live
+/// count is covered at no lookup cost, and only the others are checked
+/// for aliveness. A key the new set holds whose pairs were all erased is
+/// not covered. Inside a drain, the erase sweeps hand each neighbor's
+/// surviving count to the kill body, so detecting a death costs no
+/// lookup either.
+///
 /// Cost accounting: every erased pair was added by an earlier edge walk,
 /// so burnback is amortized into extension cost (paper §4); the class
 /// still counts erased pairs for diagnostics.
@@ -109,8 +120,9 @@ class Burnback {
   /// sets, calls on_death(death) for each neighbor that is left with no
   /// pair in a set, and returns the pairs erased. The one kill body of
   /// both drains: the serial drain passes a null `set_mu`; the parallel
-  /// drain passes its per-set mutexes, and each set's erasure and the
-  /// count reads that detect deaths then run under that set's lock.
+  /// drain passes its per-set mutexes, and each set's erasure, with the
+  /// surviving counts it hands back to detect deaths, then runs under
+  /// that set's lock.
   template <typename OnDeath>
   uint64_t KillOne(const Death& d, std::vector<std::mutex>* set_mu,
                    OnDeath&& on_death);

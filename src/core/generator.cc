@@ -90,6 +90,12 @@ Result<GeneratorResult> AgGenerator::Generate(
     return true;
   };
 
+  // Candidate bitmap of a level's `to` variable: one bit per dictionary
+  // id (NumNodes / 8 bytes), allocated on the first level that needs it,
+  // set from that level's candidate list and cleared from it afterwards,
+  // so a level costs O(|candidates|), never O(dictionary).
+  std::vector<uint64_t> candidate_bits;
+
   // --- Edge extension + node burnback, one query edge at a time. ---
   for (uint32_t e : plan.edge_order) {
     const QueryEdge& qe = query.Edge(e);
@@ -107,22 +113,40 @@ Result<GeneratorResult> AgGenerator::Generate(
       // candidates when both are. Each frontier node x scans its data
       // neighbors y in the frontier's direction.
       const bool cold = !src_touched && !dst_touched;
+      std::vector<NodeId> src_candidates;
+      std::vector<NodeId> dst_candidates;
+      if (src_touched) src_candidates = CollectCandidates(ag, qe.src);
+      if (dst_touched) dst_candidates = CollectCandidates(ag, qe.dst);
       const bool forward =
           cold || (src_touched && !dst_touched) ||
           (src_touched && dst_touched &&
-           ag.CandidateCount(qe.src) <= ag.CandidateCount(qe.dst));
+           src_candidates.size() <= dst_candidates.size());
       const VarId from = forward ? qe.src : qe.dst;
       const VarId to = forward ? qe.dst : qe.src;
       const bool to_touched = forward ? dst_touched : src_touched;
-      std::vector<NodeId> candidates;
-      if (!cold) candidates = CollectCandidates(ag, from);
       const std::span<const NodeId> frontier =
           cold ? store.DistinctSubjects(p)
-               : std::span<const NodeId>(candidates);
+               : std::span<const NodeId>(forward ? src_candidates
+                                                 : dst_candidates);
+      // y's variable is constrained only when both are: mark its
+      // candidates for one bit test per scanned neighbor.
+      const std::span<const NodeId> to_candidates =
+          forward ? dst_candidates : src_candidates;
+      if (to_touched) {
+        if (candidate_bits.empty()) {
+          candidate_bits.assign((store.NumNodes() + 63) / 64, 0);
+        }
+        for (NodeId c : to_candidates) {
+          WF_DCHECK(c < store.NumNodes());
+          candidate_bits[c >> 6] |= uint64_t{1} << (c & 63);
+        }
+      }
       // Pair filter: aliveness of y when its variable is constrained,
       // the lookahead otherwise (for x too on a cold start).
       auto accept = [&](NodeId x, NodeId y, uint64_t& walks) {
-        if (to_touched) return ag.IsAlive(to, y);
+        if (to_touched) {
+          return ((candidate_bits[y >> 6] >> (y & 63)) & 1) != 0;
+        }
         if (cold && !passes_lookahead(from, x, e, walks)) return false;
         return passes_lookahead(to, y, e, walks);
       };
@@ -162,6 +186,11 @@ Result<GeneratorResult> AgGenerator::Generate(
               }
             }
           }));
+      if (to_touched) {
+        // Only this level's candidates set bits: zeroing their words
+        // restores the all-clear map.
+        for (NodeId c : to_candidates) candidate_bits[c >> 6] = 0;
+      }
       for (const PairSetShard& shard : shards) {
         result.edge_walks += shard.edge_walks;
       }

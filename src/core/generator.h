@@ -54,7 +54,10 @@ struct GeneratorOptions {
   /// into morsels whose workers fill thread-local PairSetShards; the
   /// shards concatenate in morsel order at the level barrier into the
   /// list the level's edge set is built from, so the resulting
-  /// AnswerGraph is identical for every pool size. Node burnback drains
+  /// AnswerGraph is identical for every pool size. A level whose target
+  /// variable is already constrained filters scanned neighbors through a
+  /// per-query candidate bitmap (NumNodes / 8 bytes, set before the
+  /// level's morsels run and only read by them). Node burnback drains
   /// on the same pool once a seed list crosses
   /// `burnback_parallel_threshold`.
   ThreadPool* pool = nullptr;

@@ -2,6 +2,7 @@
 #define WIREFRAME_UTIL_CSR_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -66,6 +67,38 @@ class Csr {
     }
     csr.offsets_.push_back(static_cast<uint32_t>(csr.neighbors_.size()));
     csr.BuildDenseIndex();
+    return csr;
+  }
+
+  /// Builds the other direction of a sequence sorted by (key, neighbor):
+  /// the Csr keyed by neighbor, equal to Build over the flipped pairs, with
+  /// no comparison sort. A stable LSD radix sort on the neighbor id keeps
+  /// each neighbor's keys in input order, which is ascending. It makes one
+  /// counting pass per digit of at most kRadixBits bits and none above the
+  /// largest neighbor id, so ids below 2^11 cost one pass. `get(i)` returns
+  /// the i-th pair; entry j of the result mirrors pair (*positions)[j].
+  template <typename Get>
+  static Csr BuildTransposed(size_t n, Get&& get,
+                             std::vector<uint32_t>* positions) {
+    WF_CHECK(n <= UINT32_MAX)
+        << "Csr offsets are uint32; entry count overflows";
+    // (neighbor, position) packed high/low: the sort moves one word.
+    std::vector<uint64_t> order(n);
+    NodeId max_neighbor = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const NodeId neighbor = get(i).second;
+      order[i] = (static_cast<uint64_t>(neighbor) << 32) | i;
+      max_neighbor = std::max(max_neighbor, neighbor);
+    }
+    SortByHighHalf(order, max_neighbor);
+    Csr csr = BuildFromSorted(n, [&](size_t j) {
+      return std::make_pair(static_cast<NodeId>(order[j] >> 32),
+                            get(static_cast<uint32_t>(order[j])).first);
+    });
+    positions->resize(n);
+    for (size_t j = 0; j < n; ++j) {
+      (*positions)[j] = static_cast<uint32_t>(order[j]);
+    }
     return csr;
   }
 
@@ -250,6 +283,37 @@ class Csr {
   static constexpr size_t kProbeOffsetAhead = 8;
   static constexpr size_t kProbeSpanAhead = 2;
   static constexpr size_t kScanSpanAhead = 4;
+
+  /// Widest digit of BuildTransposed's radix sort (2^11 counters).
+  static constexpr int kRadixBits = 11;
+
+  /// Stable LSD radix sort of `keys` by their high 32 bits, all of which
+  /// are <= max_high: ceil(bit_width(max_high) / kRadixBits) passes over
+  /// equal-width digits.
+  static void SortByHighHalf(std::vector<uint64_t>& keys, NodeId max_high) {
+    const int bits = std::bit_width(max_high);
+    if (bits == 0) return;  // one high half: already in order
+    const int passes = (bits + kRadixBits - 1) / kRadixBits;
+    const int width = (bits + passes - 1) / passes;
+    const uint64_t mask = (uint64_t{1} << width) - 1;
+    std::vector<uint64_t> scratch(keys.size());
+    std::vector<uint32_t> starts(size_t{1} << width);
+    for (int pass = 0; pass < passes; ++pass) {
+      const int shift = 32 + pass * width;
+      std::fill(starts.begin(), starts.end(), 0);
+      for (const uint64_t key : keys) ++starts[(key >> shift) & mask];
+      uint32_t sum = 0;
+      for (uint32_t& start : starts) {
+        const uint32_t count = start;
+        start = sum;
+        sum += count;
+      }
+      for (const uint64_t key : keys) {
+        scratch[starts[(key >> shift) & mask]++] = key;
+      }
+      keys.swap(scratch);
+    }
+  }
 
   /// Direct index when the id space is compact enough that one uint32
   /// per id costs at most ~kDenseSlack slots per distinct key. Depends

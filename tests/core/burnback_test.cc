@@ -129,6 +129,28 @@ TEST(BurnbackTest, PruneAfterExtensionRemovesFailedCandidates) {
   EXPECT_TRUE(ag.IsAlive(x, 1));
 }
 
+TEST(BurnbackTest, PruneAfterExtensionSeedsKeysWithNoLivePair) {
+  // Star: x -e0-> a, x -e1-> b. After e0, x has {1,2,3}. e1 holds x=1 and
+  // x=2, but x=2's only pair is erased directly, not through burnback:
+  // the key is still in e1's sorted keys with a live count of 0. Pruning
+  // must seed it like x=3, which e1 never held.
+  QueryGraph q = StarTemplate(2).Instantiate({0, 1});
+  AnswerGraph ag(q);
+  VarId x = q.FindVar("x");
+  ag.Materialize(0, {{1, 10}, {2, 11}, {3, 12}});
+  ag.Materialize(1, {{1, 20}, {2, 21}});
+  ASSERT_TRUE(ag.Set(1).Erase(2, 21));
+  Burnback bb(&ag);
+  uint64_t erased = bb.PruneAfterExtension(1, /*src_was_touched=*/true,
+                                           /*dst_was_touched=*/false);
+  EXPECT_EQ(erased, 2u);  // (2,11) and (3,12) burned from e0
+  EXPECT_TRUE(ag.IsAlive(x, 1));
+  EXPECT_FALSE(ag.IsAlive(x, 2));
+  EXPECT_FALSE(ag.IsAlive(x, 3));
+  EXPECT_EQ(ag.Set(0).Size(), 1u);
+  EXPECT_TRUE(ag.Set(0).Contains(1, 10));
+}
+
 // Property: mimicking the generator's interleaved extend-then-prune flow
 // (new pairs' endpoints on already-touched variables are drawn from live
 // candidates), the burnback fixpoint is exactly arc consistency — the

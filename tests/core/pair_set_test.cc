@@ -202,7 +202,8 @@ TEST(PairSetTest, EraseSrcSweepsExactlyTheLivePairs) {
   PairSet s(pairs);
   s.Erase(5, 103);  // pre-existing tombstone the sweep must skip
   std::vector<NodeId> erased;
-  const uint32_t n = s.EraseSrc(5, [&](NodeId v) { erased.push_back(v); });
+  const uint32_t n =
+      s.EraseSrc(5, [&](NodeId v, uint32_t) { erased.push_back(v); });
   EXPECT_EQ(n, 11u);
   EXPECT_EQ(erased.size(), 11u);
   EXPECT_EQ(s.SrcCount(5), 0u);
@@ -211,9 +212,12 @@ TEST(PairSetTest, EraseSrcSweepsExactlyTheLivePairs) {
   // The sweep is reverse over the sorted span.
   EXPECT_EQ(erased.front(), 111u);
   // A second sweep is a no-op.
-  EXPECT_EQ(s.EraseSrc(5, [&](NodeId) { FAIL() << "nothing left"; }), 0u);
+  EXPECT_EQ(
+      s.EraseSrc(5, [&](NodeId, uint32_t) { FAIL() << "nothing left"; }), 0u);
   // Unknown source: no-op.
-  EXPECT_EQ(s.EraseSrc(42, [&](NodeId) { FAIL() << "unknown src"; }), 0u);
+  EXPECT_EQ(
+      s.EraseSrc(42, [&](NodeId, uint32_t) { FAIL() << "unknown src"; }),
+      0u);
 }
 
 TEST(PairSetTest, EraseDstSweepsExactlyTheLivePairs) {
@@ -223,7 +227,8 @@ TEST(PairSetTest, EraseDstSweepsExactlyTheLivePairs) {
   PairSet s(pairs);
   s.Erase(204, 9);
   std::vector<NodeId> erased;
-  const uint32_t n = s.EraseDst(9, [&](NodeId u) { erased.push_back(u); });
+  const uint32_t n =
+      s.EraseDst(9, [&](NodeId u, uint32_t) { erased.push_back(u); });
   EXPECT_EQ(n, 7u);
   EXPECT_EQ(s.DstCount(9), 0u);
   EXPECT_EQ(s.Size(), 1u);
@@ -240,8 +245,8 @@ TEST(PairSetDeathTest, FrozenMutatorsDieInAllBuildTypes) {
   s.Freeze();
   ASSERT_TRUE(s.IsFrozen());
   EXPECT_DEATH(s.Erase(1, 2), "frozen");
-  EXPECT_DEATH(s.EraseSrc(1, [](NodeId) {}), "frozen");
-  EXPECT_DEATH(s.EraseDst(2, [](NodeId) {}), "frozen");
+  EXPECT_DEATH(s.EraseSrc(1, [](NodeId, uint32_t) {}), "frozen");
+  EXPECT_DEATH(s.EraseDst(2, [](NodeId, uint32_t) {}), "frozen");
 }
 
 // A set is built from a duplicate-free list and does not deduplicate;
@@ -281,20 +286,37 @@ TEST(PairSetTest, StressManyPairs) {
 // Seeded model test: a PairSet built from a random pair list, in each of
 // the three input orders, then shrunk by random Erase / EraseSrc /
 // EraseDst calls, must agree with a std::set model on every observable —
-// before and after Freeze.
+// before and after Freeze — and every erase sweep must hand back the
+// model's count for the neighbor it reports.
 TEST(PairSetTest, MatchesStdSetModelUnderRandomOps) {
   using Model = std::set<std::pair<NodeId, NodeId>>;
   Rng rng(1234);
   for (int trial = 0; trial < 60; ++trial) {
-    // Small id ranges make shared endpoints (and cascading counts) common;
-    // a sparse range every few trials skips Csr's direct index.
-    const NodeId id_range = trial % 4 == 3 ? 1u << 30 : 12;
+    // Endpoints come from a pool of 12 ids, so shared endpoints (and
+    // cascading counts) are common at every id range. The ranges walk the
+    // radix build of the second direction through one digit pass (ids
+    // below 2^11, Csr's direct index on), two and three passes; the two
+    // widest also skip the direct index.
+    const NodeId ranges[] = {12, 1u << 12, 1u << 23, 1u << 31};
+    const NodeId id_range = ranges[trial % 4];
+    std::vector<NodeId> pool;
+    for (int i = 0; i < 12; ++i) {
+      pool.push_back(static_cast<NodeId>(rng.Uniform(id_range)));
+    }
     Model model;
     const uint64_t draws = rng.Uniform(80);
     for (uint64_t i = 0; i < draws; ++i) {
-      model.emplace(static_cast<NodeId>(rng.Uniform(id_range)),
-                    static_cast<NodeId>(rng.Uniform(id_range)));
+      model.emplace(pool[rng.Uniform(pool.size())],
+                    pool[rng.Uniform(pool.size())]);
     }
+    auto model_src_count = [&](NodeId u) {
+      return static_cast<uint32_t>(std::count_if(
+          model.begin(), model.end(), [&](auto p) { return p.first == u; }));
+    };
+    auto model_dst_count = [&](NodeId v) {
+      return static_cast<uint32_t>(std::count_if(
+          model.begin(), model.end(), [&](auto p) { return p.second == v; }));
+    };
     std::vector<std::pair<NodeId, NodeId>> input(model.begin(), model.end());
     switch (trial % 3) {
       case 0:  // (src, dst) order, as a forward extension or chord yields
@@ -371,34 +393,34 @@ TEST(PairSetTest, MatchesStdSetModelUnderRandomOps) {
           EXPECT_EQ(set.Erase(a, b), model.erase({a, b}) == 1);
           break;
         case 1: {
-          Model erased;
-          const uint32_t n =
-              set.EraseSrc(a, [&](NodeId v) { erased.emplace(a, v); });
-          EXPECT_EQ(n, erased.size());
-          for (auto it = model.begin(); it != model.end();) {
-            if (it->first == a) {
-              EXPECT_EQ(erased.count(*it), 1u);
-              it = model.erase(it);
-            } else {
-              ++it;
-            }
-          }
+          const uint32_t want = model_src_count(a);
+          uint32_t calls = 0;
+          const uint32_t n = set.EraseSrc(a, [&](NodeId v, uint32_t left) {
+            ++calls;
+            EXPECT_EQ(model.erase({a, v}), 1u) << "erased (" << a << ", "
+                                                << v << ") twice or never";
+            EXPECT_EQ(left, model_dst_count(v)) << "count handed back for "
+                                                << v;
+          });
+          EXPECT_EQ(n, want);
+          EXPECT_EQ(calls, want);
+          EXPECT_EQ(model_src_count(a), 0u);
           EXPECT_EQ(set.SrcCount(a), 0u);
           break;
         }
         default: {
-          Model erased;
-          const uint32_t n =
-              set.EraseDst(b, [&](NodeId u) { erased.emplace(u, b); });
-          EXPECT_EQ(n, erased.size());
-          for (auto it = model.begin(); it != model.end();) {
-            if (it->second == b) {
-              EXPECT_EQ(erased.count(*it), 1u);
-              it = model.erase(it);
-            } else {
-              ++it;
-            }
-          }
+          const uint32_t want = model_dst_count(b);
+          uint32_t calls = 0;
+          const uint32_t n = set.EraseDst(b, [&](NodeId u, uint32_t left) {
+            ++calls;
+            EXPECT_EQ(model.erase({u, b}), 1u) << "erased (" << u << ", "
+                                                << b << ") twice or never";
+            EXPECT_EQ(left, model_src_count(u)) << "count handed back for "
+                                                << u;
+          });
+          EXPECT_EQ(n, want);
+          EXPECT_EQ(calls, want);
+          EXPECT_EQ(model_dst_count(b), 0u);
           EXPECT_EQ(set.DstCount(b), 0u);
           break;
         }

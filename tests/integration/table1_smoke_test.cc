@@ -6,6 +6,7 @@
 #include "benchlib/harness.h"
 #include "datagen/yago_like.h"
 #include "query/parser.h"
+#include "util/thread_pool.h"
 
 namespace wireframe {
 namespace {
@@ -92,10 +93,12 @@ TEST_F(Table1SmokeTest, SnowflakesFactorizeWell) {
 
 TEST_F(Table1SmokeTest, PhaseOneCountsArePinned) {
   // Absolute phase-1 counters of the WF engine on all ten queries, at
-  // this suite's scale and seed. Burnback is a confluent fixpoint, so
-  // |AG|, pairs burned and rows do not depend on the answer graph's
-  // internal layout or on candidate order; edge walks charge one per
-  // scanned neighbor. A change to any of them is a behaviour change.
+  // this suite's scale and seed, inline and on a lent four-worker pool
+  // (morsel-parallel extension and burnback drain). Burnback is a
+  // confluent fixpoint, so |AG|, pairs burned and rows do not depend on
+  // the answer graph's internal layout, on candidate order or on the
+  // pool; edge walks charge one per scanned neighbor. A change to any of
+  // them is a behaviour change.
   struct Pinned {
     uint64_t edge_walks;
     uint64_t ag_pairs;
@@ -111,19 +114,27 @@ TEST_F(Table1SmokeTest, PhaseOneCountsArePinned) {
   std::vector<std::string> queries = Table1Queries();
   ASSERT_EQ(queries.size(), std::size(expected));
   auto wf = MakeEngine("WF");
-  for (size_t i = 0; i < queries.size(); ++i) {
-    auto q = SparqlParser::ParseAndBind(queries[i], *db_);
-    ASSERT_TRUE(q.ok()) << i;
-    CountingSink sink;
-    EngineOptions options;
-    options.deadline = Deadline::AfterSeconds(60);
-    auto stats = wf->Run(*db_, *cat_, *q, options, &sink);
-    ASSERT_TRUE(stats.ok()) << "query " << i;
-    EXPECT_EQ(stats->edge_walks, expected[i].edge_walks) << "query " << i;
-    EXPECT_EQ(stats->ag_pairs, expected[i].ag_pairs) << "query " << i;
-    EXPECT_EQ(stats->pairs_burned, expected[i].pairs_burned) << "query " << i;
-    EXPECT_EQ(stats->output_tuples, expected[i].output_tuples)
-        << "query " << i;
+  ThreadPool pool(4);
+  for (ThreadPool* lent : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const char* path = lent == nullptr ? "inline" : "pool(4)";
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto q = SparqlParser::ParseAndBind(queries[i], *db_);
+      ASSERT_TRUE(q.ok()) << i;
+      CountingSink sink;
+      EngineOptions options;
+      options.deadline = Deadline::AfterSeconds(60);
+      options.runtime.pool = lent;
+      auto stats = wf->Run(*db_, *cat_, *q, options, &sink);
+      ASSERT_TRUE(stats.ok()) << path << " query " << i;
+      EXPECT_EQ(stats->edge_walks, expected[i].edge_walks)
+          << path << " query " << i;
+      EXPECT_EQ(stats->ag_pairs, expected[i].ag_pairs)
+          << path << " query " << i;
+      EXPECT_EQ(stats->pairs_burned, expected[i].pairs_burned)
+          << path << " query " << i;
+      EXPECT_EQ(stats->output_tuples, expected[i].output_tuples)
+          << path << " query " << i;
+    }
   }
 }
 
