@@ -2,6 +2,7 @@
 // burnback, and defactorization primitives whose costs the paper's edge
 // walk model abstracts.
 
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -283,6 +284,57 @@ void BM_CsrForEachGather(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * csr.NumEntries());
 }
 BENCHMARK(BM_CsrForEachGather)->Arg(32768);
+
+// --- Csr key lookup ---------------------------------------------------
+// RangeOf over range(0) keys, probing hits (range(1) = 1) or misses (0)
+// in a shuffled order. Dense keys are the even ids below 2 * n, so the
+// direct index answers; sparse keys are spread over the whole id space,
+// so the hashed index does. Misses are the odd ids and fresh random ids.
+
+void RangeOfCell(benchmark::State& state, bool dense) {
+  const size_t nkeys = static_cast<size_t>(state.range(0));
+  const bool hits = state.range(1) != 0;
+  Rng rng(47);
+  std::set<NodeId> keys;
+  while (keys.size() < nkeys) {
+    keys.insert(dense ? static_cast<NodeId>(2 * keys.size())
+                      : static_cast<NodeId>(rng.Uniform(kInvalidNode)));
+  }
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (const NodeId key : keys) pairs.emplace_back(key, key);
+  const Csr csr = Csr::Build(std::move(pairs));
+  std::vector<NodeId> probes;
+  for (const NodeId key : keys) {
+    if (hits) {
+      probes.push_back(key);
+    } else if (dense) {
+      probes.push_back(key + 1);
+    } else {
+      NodeId miss = static_cast<NodeId>(rng.Uniform(kInvalidNode));
+      while (keys.count(miss) != 0) ++miss;
+      probes.push_back(miss);
+    }
+  }
+  for (size_t i = probes.size(); i > 1; --i) {
+    std::swap(probes[i - 1], probes[rng.Uniform(i)]);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const Csr::Range r = csr.RangeOf(probes[i]);
+    benchmark::DoNotOptimize(r);
+    if (++i == probes.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_CsrRangeOfDense(benchmark::State& state) {
+  RangeOfCell(state, /*dense=*/true);
+}
+void BM_CsrRangeOfSparse(benchmark::State& state) {
+  RangeOfCell(state, /*dense=*/false);
+}
+BENCHMARK(BM_CsrRangeOfDense)->ArgsProduct({{1024, 65536}, {1, 0}});
+BENCHMARK(BM_CsrRangeOfSparse)->ArgsProduct({{1024, 65536}, {1, 0}});
 
 void BM_SparqlParse(benchmark::State& state) {
   const std::string text = Table1Queries()[1];

@@ -19,15 +19,17 @@ namespace wireframe {
 /// factored out so the AnswerGraph's edge sets (core/answer_graph.h) and
 /// the triple store share it.
 ///
-/// Key lookup is O(1) when the key space is compact: node ids are dense
-/// dictionary ids, so whenever max_key is within a small factor of the
-/// distinct-key count, Build additionally materializes a direct-indexed
-/// offset table (one uint32 per id in [0, max_key]) and Neighbors() is a
-/// single load — the frozen read path must not pay more per lookup than
-/// the hash probe it replaces. Sparse key sets (a few pairs over a huge
-/// id space) skip the table and fall back to binary search over the
-/// sorted keys. The choice depends only on the content, never on thread
-/// count or insertion order.
+/// Key lookup is O(1) for every key set and is never a binary search.
+/// Node ids are dense dictionary ids, so whenever max_key is within a
+/// small factor of the distinct-key count, the build materializes a
+/// direct-indexed offset table (one uint32 per id in [0, max_key]) and
+/// Neighbors() is a single load. A sparse key set (a few keys over a huge
+/// id space) gets a hashed key index instead: an open-addressing table of
+/// 4-byte slots, each a key's position in Nodes() plus one, at a load
+/// factor of at most 1/2 (capacity = bit_ceil(2 * distinct keys)), probed
+/// linearly from a multiplicative hash of the key. It costs 4 B x
+/// capacity: 8-16 B per sparse key. The choice and both tables depend
+/// only on the content, never on thread count or insertion order.
 ///
 /// Immutable after Build: every accessor is const and allocation-free, so
 /// any number of workers may scan spans concurrently without
@@ -66,7 +68,7 @@ class Csr {
       csr.neighbors_.push_back(value);
     }
     csr.offsets_.push_back(static_cast<uint32_t>(csr.neighbors_.size()));
-    csr.BuildDenseIndex();
+    csr.BuildKeyIndex();
     return csr;
   }
 
@@ -125,7 +127,7 @@ class Csr {
       }
     }
     csr.offsets_.push_back(static_cast<uint32_t>(csr.neighbors_.size()));
-    csr.BuildDenseIndex();
+    csr.BuildKeyIndex();
     return csr;
   }
 
@@ -153,9 +155,13 @@ class Csr {
       if (static_cast<size_t>(key) + 1 >= dense_offsets_.size()) return {};
       return {dense_offsets_[key], dense_offsets_[key + 1]};
     }
-    const size_t i = IndexOf(key);
-    if (i == kNotFound) return {};
-    return RangeAt(i);
+    if (key_slots_.empty()) return {};
+    const size_t mask = key_slots_.size() - 1;
+    for (size_t slot = SlotOf(key);; slot = (slot + 1) & mask) {
+      const uint32_t entry = key_slots_[slot];
+      if (entry == 0) return {};
+      if (nodes_[entry - 1] == key) return RangeAt(entry - 1);
+    }
   }
 
   /// Entry range of the i-th distinct key.
@@ -181,9 +187,8 @@ class Csr {
     return Slice(RangeAt(i));
   }
 
-  /// True iff (key, value) is present: one offset load (or key binary
-  /// search on sparse sets) plus a branch-free binary search over the
-  /// short sorted span — no hashing.
+  /// True iff (key, value) is present: one key lookup plus a branch-free
+  /// binary search over the short sorted span.
   bool Contains(NodeId key, NodeId value) const {
     return SpanContains(Neighbors(key), value);
   }
@@ -237,7 +242,8 @@ class Csr {
   /// Byte quotas — the runtime's answer-graph cache — account with this.
   uint64_t ByteSize() const {
     return (nodes_.size() + neighbors_.size()) * sizeof(NodeId) +
-           (offsets_.size() + dense_offsets_.size()) * sizeof(uint32_t);
+           (offsets_.size() + dense_offsets_.size() + key_slots_.size()) *
+               sizeof(uint32_t);
   }
 
   /// Pulls the start of the i-th span toward the cache — the span-gather
@@ -276,7 +282,10 @@ class Csr {
   static constexpr uint64_t kDenseSlack = 8;
   static constexpr uint64_t kDenseFloor = 1024;
 
-  static constexpr size_t kNotFound = ~size_t{0};
+  /// 2^64 / golden ratio, odd: the multiplicative (Fibonacci) hash of
+  /// the sparse key index. Its top bits pick the slot, so keys in a
+  /// power-of-two stride still spread.
+  static constexpr uint64_t kFibonacciHash = 0x9E3779B97F4A7C15ull;
 
   /// Prefetch distances of the batched-probe and positional-scan loops
   /// (rows ahead for offset rows / span starts, spans ahead for ForEach).
@@ -315,13 +324,17 @@ class Csr {
     }
   }
 
-  /// Direct index when the id space is compact enough that one uint32
-  /// per id costs at most ~kDenseSlack slots per distinct key. Depends
-  /// only on nodes_ and offsets_, so equal content gives equal tables.
-  void BuildDenseIndex() {
+  /// Builds the key lookup: a direct index when the id space is compact
+  /// enough that one uint32 per id costs at most ~kDenseSlack slots per
+  /// distinct key, the hashed index otherwise. Depends only on nodes_ and
+  /// offsets_, so equal content gives equal tables.
+  void BuildKeyIndex() {
     if (nodes_.empty()) return;
     const uint64_t span = static_cast<uint64_t>(nodes_.back()) + 1;
-    if (span > kDenseSlack * nodes_.size() + kDenseFloor) return;
+    if (span > kDenseSlack * nodes_.size() + kDenseFloor) {
+      BuildHashedIndex();
+      return;
+    }
     dense_offsets_.assign(span + 1, 0);
     for (size_t i = 0; i < nodes_.size(); ++i) {
       dense_offsets_[nodes_[i]] = offsets_[i];
@@ -334,11 +347,24 @@ class Csr {
     }
   }
 
-  /// Position of `key` in nodes_, or kNotFound.
-  size_t IndexOf(NodeId key) const {
-    const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), key);
-    if (it == nodes_.end() || *it != key) return kNotFound;
-    return static_cast<size_t>(it - nodes_.begin());
+  /// Open addressing at load factor <= 1/2, so a miss (phase 1 makes
+  /// many) ends at an empty slot after a short run. Keys go in ascending
+  /// order, so the table is a function of nodes_ alone.
+  void BuildHashedIndex() {
+    const size_t capacity = std::bit_ceil(2 * nodes_.size());
+    slot_shift_ = 64 - std::countr_zero(capacity);
+    key_slots_.assign(capacity, 0);
+    const size_t mask = capacity - 1;
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      size_t slot = SlotOf(nodes_[i]);
+      while (key_slots_[slot] != 0) slot = (slot + 1) & mask;
+      key_slots_[slot] = static_cast<uint32_t>(i + 1);
+    }
+  }
+
+  /// Home slot of `key` in key_slots_: the top bits of its Fibonacci hash.
+  size_t SlotOf(NodeId key) const {
+    return static_cast<size_t>((key * kFibonacciHash) >> slot_shift_);
   }
 
   std::vector<NodeId> nodes_;
@@ -348,6 +374,12 @@ class Csr {
   /// neighbors_[dense_offsets_[k], dense_offsets_[k+1]). Empty when the
   /// key space is too sparse.
   std::vector<uint32_t> dense_offsets_;
+  /// Hashed key index (sparse key spaces only): each slot holds a key's
+  /// position in nodes_ plus one, 0 = empty; the capacity is a power of
+  /// two. Empty when dense_offsets_ is built.
+  std::vector<uint32_t> key_slots_;
+  /// 64 - log2(key_slots_.size()): SlotOf keeps the hash's top bits.
+  int slot_shift_ = 64;
 };
 
 }  // namespace wireframe
