@@ -58,10 +58,11 @@ int main(int argc, char** argv) {
     for (bool lookahead : {false, true}) {
       GeneratorOptions options;
       options.lookahead = lookahead;
-      options.deadline = Deadline::AfterSeconds(timeout);
+      EngineOptions run;
+      run.deadline = Deadline::AfterSeconds(timeout);
       AgGenerator gen(db, catalog);
       Stopwatch watch;
-      auto result = gen.Generate(*q, *plan, options);
+      auto result = gen.Generate(*q, *plan, options, run);
       if (!result.ok()) {
         table.AddRow({std::to_string(i + 1),
                       lookahead ? "lookahead" : "plain",

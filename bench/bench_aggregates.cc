@@ -17,10 +17,10 @@
 
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "benchlib/harness.h"
 #include "benchlib/json_writer.h"
 #include "catalog/catalog.h"
 #include "core/wireframe.h"
@@ -46,20 +46,6 @@ struct Workload {
   bool bushy = false;
 };
 
-std::vector<uint32_t> ParseThreads(const std::string& csv) {
-  std::vector<uint32_t> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    const uint32_t resolved = ThreadPool::ResolveThreads(
-        static_cast<uint32_t>(std::atoi(item.c_str())));
-    bool seen = false;
-    for (uint32_t t : out) seen |= t == resolved;
-    if (!seen) out.push_back(resolved);
-  }
-  return out;
-}
-
 bool AddWorkload(std::vector<Workload>* out, const std::string& id,
                  Database db, const std::string& patterns,
                  bool bushy = false) {
@@ -84,7 +70,7 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(flags.GetInt("reps", 3));
   const double timeout = flags.GetDouble("timeout", 60.0);
   const std::vector<uint32_t> thread_counts =
-      ParseThreads(flags.GetString("threads_list", "1,0"));
+      ParseThreadList(flags.GetString("threads_list", "1,0"));
   // One pool per swept thread count, lent to every run at that count.
   std::vector<std::unique_ptr<ThreadPool>> pools;
   for (uint32_t threads : thread_counts) {
@@ -193,7 +179,7 @@ int main(int argc, char** argv) {
         for (int rep = 0; rep < std::max(1, reps); ++rep) {
           EngineOptions options;
           options.deadline = Deadline::AfterSeconds(timeout);
-          options.runtime.pool = pools[t].get();
+          options.pool = pools[t].get();
           Stopwatch watch;
           if (mode.engine == "WF") {
             WireframeEngine engine(wf_options);

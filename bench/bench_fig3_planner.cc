@@ -38,10 +38,10 @@ RealCost Execute(const Database& db, const Catalog& catalog,
   AgPlan plan;
   plan.edge_order = order;
   AgGenerator gen(db, catalog);
-  GeneratorOptions options;
-  options.deadline = Deadline::AfterSeconds(30);
+  EngineOptions run;
+  run.deadline = Deadline::AfterSeconds(30);
   Stopwatch watch;
-  auto result = gen.Generate(q, plan, options);
+  auto result = gen.Generate(q, plan, GeneratorOptions{}, run);
   RealCost cost;
   if (!result.ok()) return cost;
   cost.ok = true;

@@ -41,7 +41,7 @@ ModeResult RunMode(const Database& db, const Catalog& catalog,
   CountingSink sink;
   EngineOptions run;
   run.deadline = Deadline::AfterSeconds(timeout);
-  run.runtime.pool = pool;
+  run.pool = pool;
   auto stats = engine.Run(db, catalog, q, run, &sink);
   ModeResult r;
   if (!stats.ok()) {

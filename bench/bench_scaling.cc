@@ -68,7 +68,7 @@ SweepPoint RunWfPoint(const Database& db, const Catalog& catalog,
   for (int rep = 0; rep < std::max(1, reps); ++rep) {
     EngineOptions options;
     options.deadline = Deadline::AfterSeconds(timeout);
-    options.runtime.pool = pool;
+    options.pool = pool;
     CountingSink sink;
     auto detail = engine.RunDetailed(db, catalog, q, options, &sink);
     if (!detail.ok()) {
@@ -117,8 +117,8 @@ int RunThreadsSweep(const Flags& flags) {
   const int64_t query_signed = Table1QueryIndex(flags);
   if (query_signed < 0) return 1;
   const size_t query_index = static_cast<size_t>(query_signed);
-  std::vector<double> thread_counts =
-      ParseList(flags.GetString("threads_list", "1,2,4,8"));
+  const std::vector<uint32_t> thread_counts =
+      ParseThreadList(flags.GetString("threads_list", "1,2,4,8"));
 
   YagoLikeConfig config;
   config.scale = flags.GetDouble("scale", 1.0);
@@ -158,11 +158,9 @@ int RunThreadsSweep(const Flags& flags) {
   SweepPoint wf_base;
   double pg_base = 0.0;
   uint32_t base_threads = 0;  // 0 until the first completed row
-  for (double t : thread_counts) {
-    // Resolve up front (0 = all cores) so the table and the JSON records
-    // both report the thread count the row actually ran with.
-    const uint32_t threads =
-        ThreadPool::ResolveThreads(static_cast<uint32_t>(t));
+  // ParseThreadList resolved 0 to all cores, so the table and the JSON
+  // records both report the thread count each row actually ran with.
+  for (const uint32_t threads : thread_counts) {
     BenchConfig bench;
     bench.timeout_seconds = timeout;
     bench.repetitions = reps;

@@ -1,5 +1,7 @@
 #include "benchlib/harness.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
 #include <ostream>
@@ -25,6 +27,33 @@ std::vector<std::string> ParseEngineList(const std::string& value) {
     begin = end + 1;
   }
   return engines;
+}
+
+std::vector<uint32_t> ParseThreadList(const std::string& value) {
+  std::vector<uint32_t> threads;
+  size_t begin = 0;
+  while (begin <= value.size()) {
+    size_t end = value.find(',', begin);
+    if (end == std::string::npos) end = value.size();
+    const std::string item = value.substr(begin, end - begin);
+    // Unsigned from_chars takes digits only: no sign, no blank, no
+    // fraction, and out-of-range values fail instead of wrapping.
+    uint32_t requested = 0;
+    const char* last = item.data() + item.size();
+    const auto [ptr, ec] = std::from_chars(item.data(), last, requested);
+    if (ec != std::errc() || ptr != last) {
+      std::cerr << "--threads_list: '" << item << "' in '" << value
+                << "' is not a non-negative integer thread count\n";
+      std::exit(2);
+    }
+    const uint32_t resolved = ThreadPool::ResolveThreads(requested);
+    if (std::find(threads.begin(), threads.end(), resolved) ==
+        threads.end()) {
+      threads.push_back(resolved);
+    }
+    begin = end + 1;
+  }
+  return threads;
 }
 
 BenchRecord ToRecord(const std::string& engine, const std::string& query_id,
@@ -60,7 +89,7 @@ BenchCell Table1Harness::RunCell(const QueryGraph& query,
   for (int rep = 0; rep < std::max(1, config_.repetitions); ++rep) {
     EngineOptions options;
     options.deadline = Deadline::AfterSeconds(config_.timeout_seconds);
-    options.runtime.pool = &pool_;
+    options.pool = &pool_;
     CountingSink sink;
     Stopwatch watch;
     Result<EngineStats> result =

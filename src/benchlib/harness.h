@@ -68,6 +68,14 @@ struct BenchCell {
 /// list or a name MakeEngine does not know.
 std::vector<std::string> ParseEngineList(const std::string& value);
 
+/// Parses a driver's --threads_list value: comma-separated non-negative
+/// integer thread counts ("1,2,4"). Each is resolved through
+/// ThreadPool::ResolveThreads (0 = all hardware cores) and repeats of a
+/// resolved count are dropped, keeping the first. Exits with a usage
+/// message on an empty entry or any entry that is not a non-negative
+/// integer that fits in 32 bits.
+std::vector<uint32_t> ParseThreadList(const std::string& value);
+
 /// Flattens one bench cell into the machine-readable record shape.
 BenchRecord ToRecord(const std::string& engine, const std::string& query_id,
                      const BenchCell& cell);

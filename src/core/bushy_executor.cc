@@ -63,28 +63,22 @@ bool PlanLeafMerge(const QueryGraph& query, const AnswerGraph& ag,
 
 Result<DefactorizerStats> BushyExecutor::Emit(
     const BushyPlan& plan, Sink* sink,
-    const BushyExecutorOptions& options) const {
+    const BushyExecutorOptions& options, const EngineOptions& run) const {
   WF_CHECK(ag_->IsFrozen()) << "phase 2 requires a frozen AnswerGraph";
   DefactorizerStats stats;
   uint64_t total_cells = 0;
-  ThreadPool* pool = options.pool != nullptr ? options.pool : InlinePool();
+  ThreadPool* pool = run.Pool();
 
   // Join-barrier interrupt check; the morsel loops get the same checks
   // per morsel from ParallelFor. (`probe` would shadow the join's probe
   // side, hence the name.)
-  InterruptProbe interrupt(options.deadline, options.cancel);
+  InterruptProbe interrupt(run.deadline, run.cancel);
 
   // Runs body(worker, begin, end) over [0, n) in `morsel`-sized morsels
   // on the pool, mapping an interrupt to the status of stage `what`.
   auto morsels = [&](uint64_t n, uint64_t morsel, std::atomic<bool>* stop,
                      const char* what, auto&& body) -> Status {
-    ParallelForOptions pf;
-    pf.morsel_size = morsel;
-    pf.deadline = options.deadline;
-    pf.stop = stop;
-    pf.cancel = options.cancel;
-    pf.weight = options.weight;
-    const Status st = pool->ParallelFor(n, pf, body);
+    const Status st = pool->ParallelFor(n, run.Morsels(morsel, stop), body);
     if (st.IsCancelled()) return Status::Cancelled(what);
     if (st.IsTimedOut()) return Status::TimedOut(what);
     return st;

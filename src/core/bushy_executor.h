@@ -1,38 +1,21 @@
 #ifndef WIREFRAME_CORE_BUSHY_EXECUTOR_H_
 #define WIREFRAME_CORE_BUSHY_EXECUTOR_H_
 
-#include <atomic>
-
 #include "core/answer_graph.h"
 #include "core/defactorizer.h"
+#include "exec/engine.h"
 #include "exec/sink.h"
 #include "planner/bushy_planner.h"
 #include "query/query_graph.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace wireframe {
 
 /// Options for bushy execution.
 struct BushyExecutorOptions {
-  Deadline deadline;
   /// Intermediate-memory budget in binding cells (rows x width); exceeding
   /// it aborts with OutOfRange, mirroring the materializing baselines.
   uint64_t max_cells = 400ull << 20;
-  /// Worker pool (not owned; null runs on InlinePool). Work is split
-  /// into morsels of each join's probe side or shared keys (per-morsel
-  /// row chunks concatenated in morsel order, so every intermediate
-  /// relation is the same for every pool size) and of the final emit
-  /// scan.
-  ThreadPool* pool = nullptr;
-  /// Optional cooperative cancellation (borrowed, may be null): polled on
-  /// the same amortized cadence as the deadline; once set, execution
-  /// stops and Emit returns Status::Cancelled.
-  std::atomic<bool>* cancel = nullptr;
-  /// Scheduler weight of every task-group this run submits to `pool`
-  /// (service class of the owning query; see ParallelForOptions::weight).
-  uint32_t weight = 1;
 };
 
 /// Executes a BushyPlan over the (frozen) answer graph: leaves scan AG
@@ -48,9 +31,14 @@ class BushyExecutor {
 
   /// Runs the plan, emitting every embedding to `sink`. The stats reuse
   /// DefactorizerStats: `extensions` counts materialized intermediate
-  /// rows (the bushy analogue of tuple-extension work).
+  /// rows (the bushy analogue of tuple-extension work). Work is split on
+  /// `run`'s pool into morsels of each join's probe side or shared keys
+  /// (per-morsel row chunks concatenated in morsel order, so every
+  /// intermediate relation is the same for every pool size) and of the
+  /// final emit scan.
   Result<DefactorizerStats> Emit(const BushyPlan& plan, Sink* sink,
-                                 const BushyExecutorOptions& options) const;
+                                 const BushyExecutorOptions& options,
+                                 const EngineOptions& run = {}) const;
 
  private:
   const QueryGraph* query_;

@@ -121,16 +121,14 @@ std::vector<ChordEvaluator::ResolvedTriangle> ChordEvaluator::AllTriangles()
   return out;
 }
 
-Status ChordEvaluator::MaterializeChords(
-    const ChordMaterializeOptions& options, uint64_t* walks) {
+Status ChordEvaluator::MaterializeChords(uint64_t* walks,
+                                         const EngineOptions& run) {
   WF_CHECK(chord_slots_.size() == chordification_->chords.size())
       << "RegisterChordSlots must run first";
 
-  ThreadPool* pool = options.pool != nullptr ? options.pool : InlinePool();
-
   // Chord-barrier interrupt check; inside a chord ParallelFor checks
   // cancel and deadline per morsel.
-  InterruptProbe probe(options.deadline, options.cancel);
+  InterruptProbe probe(run.deadline, run.cancel);
 
   // Driver shared by the triangle join and the intersection pass:
   // shards [0, n) into kChordMorsel morsels on the pool, where
@@ -140,13 +138,9 @@ Status ChordEvaluator::MaterializeChords(
   auto sharded = [&](uint64_t n, auto&& body) -> Status {
     const uint64_t num_morsels = (n + kChordMorsel - 1) / kChordMorsel;
     std::vector<uint64_t> morsel_walks(num_morsels, 0);
-    ParallelForOptions pf;
-    pf.morsel_size = kChordMorsel;
-    pf.deadline = options.deadline;
-    pf.cancel = options.cancel;
-    pf.weight = options.weight;
-    const Status st = pool->ParallelFor(
-        n, pf, [&](uint32_t, uint64_t begin, uint64_t end) {
+    const Status st = run.Pool()->ParallelFor(
+        n, run.Morsels(kChordMorsel),
+        [&](uint32_t, uint64_t begin, uint64_t end) {
           const uint64_t m = begin / kChordMorsel;
           body(m, begin, end, morsel_walks[m]);
         });
@@ -298,9 +292,10 @@ Status ChordEvaluator::MaterializeChords(
   return Status::OK();
 }
 
-Result<uint64_t> ChordEvaluator::RunEdgeBurnback(const Deadline& deadline) {
+Result<uint64_t> ChordEvaluator::RunEdgeBurnback(const EngineOptions& run) {
   const std::vector<ResolvedTriangle> triangles = AllTriangles();
   uint64_t erased_total = 0;
+  InterruptProbe probe(run.deadline, run.cancel);
 
   // Pair deletions cascade both through node burnback (inside ErasePair)
   // and across triangles (a deleted pair may strand a pair of another
@@ -309,7 +304,7 @@ Result<uint64_t> ChordEvaluator::RunEdgeBurnback(const Deadline& deadline) {
   while (changed) {
     changed = false;
     for (const ResolvedTriangle& t : triangles) {
-      if (deadline.Expired()) return Status::TimedOut("edge burnback");
+      WF_RETURN_NOT_OK(probe.CheckNow("edge burnback"));
 
       // Each side must be witnessed by the other two.
       struct Doomed {

@@ -1,34 +1,16 @@
 #ifndef WIREFRAME_CORE_CHORDS_H_
 #define WIREFRAME_CORE_CHORDS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 #include "core/answer_graph.h"
 #include "core/burnback.h"
+#include "exec/engine.h"
 #include "planner/triangulator.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace wireframe {
-
-/// Knobs of one MaterializeChords run.
-struct ChordMaterializeOptions {
-  Deadline deadline;
-  /// Worker pool (borrowed; null runs on InlinePool): each chord's
-  /// triangle joins and intersections shard over the triangle's
-  /// endpoint-candidate pairs, exactly like regular edge extension. The
-  /// materialized chord sets are identical for every pool size (pairs are
-  /// canonicalized into ascending packed order before insertion).
-  ThreadPool* pool = nullptr;
-  /// Cooperative cancellation, polled amortized like the deadline.
-  std::atomic<bool>* cancel = nullptr;
-  /// Scheduler weight of every task-group this run submits to `pool`
-  /// (service class of the owning query; see ParallelForOptions::weight).
-  uint32_t weight = 1;
-};
 
 /// Runtime counterpart of the Triangulator's chordification (paper §4):
 /// materializes chord pair sets and, optionally, runs the edge-burnback
@@ -52,16 +34,20 @@ class ChordEvaluator {
 
   /// Materializes every chord, innermost (DP-tree leaves) first, applying
   /// node burnback after each. Requires all query edges materialized.
-  /// Adds the pairs it retrieves to `walks`. Deadline expiry and
+  /// Adds the pairs it retrieves to `walks`. Each chord's triangle joins
+  /// and intersections shard over the triangle's endpoint-candidate pairs
+  /// on `run`'s pool, exactly like regular edge extension; pairs are
+  /// canonicalized into ascending packed order before insertion, so the
+  /// chord sets are identical for every pool size. Deadline expiry and
   /// cancellation are polled per morsel and after each chord.
-  Status MaterializeChords(const ChordMaterializeOptions& options,
-                           uint64_t* walks);
+  Status MaterializeChords(uint64_t* walks, const EngineOptions& run = {});
 
   /// Edge burnback: repeatedly enforces, for every triangle, that each
   /// side pair is witnessed by compatible pairs of the other two sides;
-  /// deletions cascade through node burnback. Runs to fixpoint. Returns
-  /// the number of pairs erased.
-  Result<uint64_t> RunEdgeBurnback(const Deadline& deadline);
+  /// deletions cascade through node burnback. Runs to fixpoint, serially.
+  /// Returns the number of pairs erased. Deadline expiry and cancellation
+  /// are polled before each triangle.
+  Result<uint64_t> RunEdgeBurnback(const EngineOptions& run = {});
 
   /// AG slot index assigned to chord `chord_index`.
   uint32_t ChordSlot(uint32_t chord_index) const {

@@ -205,7 +205,7 @@ void EmitStep(EmitContext& ctx, size_t depth) {
 
 Result<DefactorizerStats> Defactorizer::Emit(
     const EmbeddingPlan& plan, Sink* sink,
-    const DefactorizerOptions& options) const {
+    const DefactorizerOptions& options, const EngineOptions& run) const {
   WF_CHECK(plan.join_order.size() == query_->NumEdges())
       << "embedding plan must cover every query edge";
   WF_CHECK(!plan.join_order.empty()) << "embedding plan has no edges";
@@ -253,7 +253,7 @@ Result<DefactorizerStats> Defactorizer::Emit(
     ctx.ag = ag_;
     ctx.order = &plan.join_order;
     ctx.depth_chords = &depth_chords;
-    ctx.probe = InterruptProbe(options.deadline, options.cancel);
+    ctx.probe = InterruptProbe(run.deadline, run.cancel);
     ctx.binding.assign(query_->NumVars(), kInvalidNode);
     ctx.isect_a.resize(plan.join_order.size());
     ctx.isect_b.resize(plan.join_order.size());
@@ -263,7 +263,7 @@ Result<DefactorizerStats> Defactorizer::Emit(
   // Partition the first edge's pairs; each worker runs the recursive
   // EmitStep over its own context from depth 1, draining rows through a
   // private SinkShard.
-  ThreadPool* pool = options.pool != nullptr ? options.pool : InlinePool();
+  ThreadPool* pool = run.Pool();
   const uint32_t e0 = plan.join_order[0];
   const QueryEdge& qe0 = query_->Edge(e0);
   const PairSet& first = ag_->Set(e0);
@@ -324,14 +324,8 @@ Result<DefactorizerStats> Defactorizer::Emit(
   }
   for (uint32_t w = 0; w < workers; ++w) ctxs[w].sink = &shards[w];
 
-  ParallelForOptions pf;
-  pf.morsel_size = kRootMorsel;
-  pf.deadline = options.deadline;
-  pf.stop = &stop;
-  pf.cancel = options.cancel;
-  pf.weight = options.weight;
   const Status st = pool->ParallelFor(
-      roots.size(), pf,
+      roots.size(), run.Morsels(kRootMorsel, &stop),
       [&](uint32_t worker, uint64_t begin, uint64_t end) {
         EmitContext& ctx = ctxs[worker];
         for (uint64_t i = begin; i < end && !ctx.stop; ++i) {

@@ -1,36 +1,17 @@
 #ifndef WIREFRAME_CORE_DEFACTORIZER_H_
 #define WIREFRAME_CORE_DEFACTORIZER_H_
 
-#include <atomic>
-
 #include "core/answer_graph.h"
+#include "exec/engine.h"
 #include "exec/sink.h"
 #include "planner/plan.h"
 #include "query/query_graph.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace wireframe {
 
 /// Phase-2 options.
 struct DefactorizerOptions {
-  Deadline deadline;
-  /// Worker pool for enumeration (not owned; null runs on InlinePool).
-  /// Work is partitioned over the first join edge's AG pairs: each worker
-  /// owns a full recursive enumeration context and a SinkShard, so the
-  /// shared sink is only locked at batch granularity. The embedding
-  /// multiset is identical for every pool size; only emission order
-  /// differs across workers.
-  ThreadPool* pool = nullptr;
-  /// Optional cooperative cancellation (borrowed, may be null): polled on
-  /// the same amortized cadence as the deadline; once set, enumeration
-  /// stops and Emit returns Status::Cancelled (rows already handed to the
-  /// sink stay emitted).
-  std::atomic<bool>* cancel = nullptr;
-  /// Scheduler weight of every task-group this run submits to `pool`
-  /// (service class of the owning query; see ParallelForOptions::weight).
-  uint32_t weight = 1;
   /// Use materialized chord pair sets as early filters: as soon as both
   /// endpoints of a chord are bound, a binding not in the chord set is
   /// abandoned. Sound (chord sets are supersets of the embedding
@@ -88,10 +69,15 @@ class Defactorizer {
       : query_(&query), ag_(&ag) {}
 
   /// Enumerates all embeddings in `plan.join_order`, emitting each full
-  /// binding to `sink`. Returns counters (or TimedOut). Stops early, with
-  /// OK, when the sink declines more rows.
+  /// binding to `sink`. Returns counters (or TimedOut / Cancelled). Stops
+  /// early, with OK, when the sink declines more rows. Work is partitioned
+  /// over the first join edge's AG pairs on `run`'s pool: each worker owns
+  /// a full recursive enumeration context and a SinkShard, so the shared
+  /// sink is only locked at batch granularity. The embedding multiset is
+  /// identical for every pool size; only emission order differs.
   Result<DefactorizerStats> Emit(const EmbeddingPlan& plan, Sink* sink,
-                                 const DefactorizerOptions& options) const;
+                                 const DefactorizerOptions& options,
+                                 const EngineOptions& run = {}) const;
 
  private:
   const QueryGraph* query_;

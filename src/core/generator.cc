@@ -32,7 +32,7 @@ std::vector<NodeId> CollectCandidates(const AnswerGraph& ag, VarId v) {
 
 Result<GeneratorResult> AgGenerator::Generate(
     const QueryGraph& query, const AgPlan& plan,
-    const GeneratorOptions& options) const {
+    const GeneratorOptions& options, const EngineOptions& run) const {
   WF_CHECK(plan.edge_order.size() == query.NumEdges())
       << "plan must cover every query edge exactly once";
   const TripleStore& store = db_->store();
@@ -41,13 +41,11 @@ Result<GeneratorResult> AgGenerator::Generate(
   result.ag = std::make_unique<AnswerGraph>(query);
   AnswerGraph& ag = *result.ag;
 
-  ThreadPool* pool = options.pool != nullptr ? options.pool : InlinePool();
-
   // Burnback drains its cascades on the same pool (partitioned worklists
   // with ownership by variable) once a seed list crosses the threshold.
   BurnbackOptions burnback_options;
-  burnback_options.pool = pool;
-  burnback_options.weight = options.weight;
+  burnback_options.pool = run.Pool();
+  burnback_options.weight = run.weight;
   burnback_options.parallel_threshold = options.burnback_parallel_threshold;
   Burnback burnback(&ag, burnback_options);
 
@@ -66,7 +64,7 @@ Result<GeneratorResult> AgGenerator::Generate(
 
   // Level-barrier interrupt check (cancel + deadline); inside a level
   // ParallelFor checks both per morsel.
-  InterruptProbe probe(options.deadline, options.cancel);
+  InterruptProbe probe(run.deadline, run.cancel);
 
   // Lookahead filter support: for a node landing on a fresh variable v
   // via edge e, every other not-yet-materialized query edge incident to v
@@ -162,13 +160,8 @@ Result<GeneratorResult> AgGenerator::Generate(
       const uint64_t num_morsels =
           (frontier.size() + kFrontierMorsel - 1) / kFrontierMorsel;
       std::vector<PairSetShard> shards(num_morsels);
-      ParallelForOptions pf;
-      pf.morsel_size = kFrontierMorsel;
-      pf.deadline = options.deadline;
-      pf.cancel = options.cancel;
-      pf.weight = options.weight;
-      WF_RETURN_NOT_OK(pool->ParallelFor(
-          frontier.size(), pf,
+      WF_RETURN_NOT_OK(run.Pool()->ParallelFor(
+          frontier.size(), run.Morsels(kFrontierMorsel),
           [&](uint32_t /*worker*/, uint64_t begin, uint64_t end) {
             PairSetShard& shard = shards[begin / kFrontierMorsel];
             for (uint64_t i = begin; i < end; ++i) {
@@ -214,12 +207,7 @@ Result<GeneratorResult> AgGenerator::Generate(
   if (use_chords) {
     result.used_chords = true;
     uint64_t walks = 0;
-    ChordMaterializeOptions chord_options;
-    chord_options.deadline = options.deadline;
-    chord_options.pool = pool;
-    chord_options.cancel = options.cancel;
-    chord_options.weight = options.weight;
-    Status st = chord_eval.MaterializeChords(chord_options, &walks);
+    Status st = chord_eval.MaterializeChords(&walks, run);
     if (!st.ok()) return st;
     result.edge_walks += walks;
     for (size_t c = 0; c < plan.chords.size(); ++c) {
@@ -239,7 +227,7 @@ Result<GeneratorResult> AgGenerator::Generate(
   if (options.edge_burnback &&
       (use_chords || !plan.base_triangles.empty())) {
     WF_ASSIGN_OR_RETURN(uint64_t erased,
-                        chord_eval.RunEdgeBurnback(options.deadline));
+                        chord_eval.RunEdgeBurnback(run));
     if (options.trace) {
       options.trace({GeneratorTraceStep::Kind::kEdgeBurnback, 0, 0, erased,
                      ag.TotalQueryEdgePairs()});

@@ -1,19 +1,17 @@
 #ifndef WIREFRAME_CORE_GENERATOR_H_
 #define WIREFRAME_CORE_GENERATOR_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 
 #include "catalog/catalog.h"
 #include "core/answer_graph.h"
+#include "exec/engine.h"
 #include "planner/plan.h"
 #include "planner/triangulator.h"
 #include "query/query_graph.h"
 #include "storage/database.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace wireframe {
 
@@ -48,29 +46,9 @@ struct GeneratorOptions {
   /// the paper's Fig. 2 exactly; WireframeOptions enables it for the
   /// engine. bench_ablation_lookahead quantifies the effect.
   bool lookahead = false;
-  Deadline deadline;
-  /// Worker pool for morsel-parallel edge extension (not owned; null
-  /// runs on InlinePool). Each extension level partitions its frontier
-  /// into morsels whose workers fill thread-local PairSetShards; the
-  /// shards concatenate in morsel order at the level barrier into the
-  /// list the level's edge set is built from, so the resulting
-  /// AnswerGraph is identical for every pool size. A level whose target
-  /// variable is already constrained filters scanned neighbors through a
-  /// per-query candidate bitmap (NumNodes / 8 bytes, set before the
-  /// level's morsels run and only read by them). Node burnback drains
-  /// on the same pool once a seed list crosses
-  /// `burnback_parallel_threshold`.
-  ThreadPool* pool = nullptr;
-  /// Optional cooperative cancellation (borrowed, may be null): polled on
-  /// the same amortized cadence as the deadline; once set, generation
-  /// stops and Generate returns Status::Cancelled.
-  std::atomic<bool>* cancel = nullptr;
-  /// Scheduler weight of every task-group this run submits to `pool`
-  /// (service class of the owning query; see ParallelForOptions::weight).
-  uint32_t weight = 1;
   /// Minimum seed-worklist size before node-burnback cascades drain in
-  /// parallel on `pool` (BurnbackOptions::parallel_threshold). Tests pin
-  /// this to 1 to force the partitioned drain on small fixtures.
+  /// parallel on the run's pool (BurnbackOptions::parallel_threshold).
+  /// Tests pin this to 1 to force the partitioned drain on small fixtures.
   uint64_t burnback_parallel_threshold = 64;
   /// Optional step observer.
   std::function<void(const GeneratorTraceStep&)> trace;
@@ -110,9 +88,15 @@ class AgGenerator {
       : db_(&db), catalog_(&catalog) {}
 
   /// Runs phase 1 under `plan`. The plan's edge_order must be a
-  /// permutation of the query's edges.
+  /// permutation of the query's edges. Each extension level partitions
+  /// its frontier into morsels on `run`'s pool whose workers fill
+  /// thread-local PairSetShards; the shards concatenate in morsel order
+  /// at the level barrier, so the AnswerGraph is identical for every pool
+  /// size. Node burnback drains on the same pool once a seed list crosses
+  /// `options.burnback_parallel_threshold`.
   Result<GeneratorResult> Generate(const QueryGraph& query, const AgPlan& plan,
-                                   const GeneratorOptions& options) const;
+                                   const GeneratorOptions& options,
+                                   const EngineOptions& run = {}) const;
 
  private:
   const Database* db_;

@@ -15,13 +15,9 @@ Status WireframeEngine::EmitEmbeddings(const QueryGraph& query,
     Result<BushyPlan> bushy_plan = bushy_planner.Plan(ag.Stats());
     if (bushy_plan.ok()) {
       BushyExecutor executor(query, ag);
-      BushyExecutorOptions bushy_options;
-      bushy_options.deadline = options.deadline;
-      bushy_options.pool = options.runtime.pool;
-      bushy_options.cancel = options.runtime.cancel;
-      bushy_options.weight = options.runtime.weight;
-      WF_ASSIGN_OR_RETURN(detail->phase2_stats,
-                          executor.Emit(*bushy_plan, sink, bushy_options));
+      WF_ASSIGN_OR_RETURN(
+          detail->phase2_stats,
+          executor.Emit(*bushy_plan, sink, BushyExecutorOptions{}, options));
       emitted_by_bushy = true;
       detail->used_bushy = true;
     }
@@ -33,14 +29,10 @@ Status WireframeEngine::EmitEmbeddings(const QueryGraph& query,
   if (!emitted_by_bushy) {
     Defactorizer defactorizer(query, ag);
     DefactorizerOptions defac_options;
-    defac_options.deadline = options.deadline;
     defac_options.use_chords = options_.chords_in_phase2;
-    defac_options.pool = options.runtime.pool;
-    defac_options.cancel = options.runtime.cancel;
-    defac_options.weight = options.runtime.weight;
-    WF_ASSIGN_OR_RETURN(
-        detail->phase2_stats,
-        defactorizer.Emit(detail->embedding_plan, sink, defac_options));
+    WF_ASSIGN_OR_RETURN(detail->phase2_stats,
+                        defactorizer.Emit(detail->embedding_plan, sink,
+                                          defac_options, options));
   }
   return Status::OK();
 }
@@ -60,13 +52,7 @@ Status WireframeEngine::ExecutePhase2(const QueryGraph& query,
       planner.Plan(spec, AggregateExecutor::MaterializedChords(ag));
   if (plan.mode != AggregateMode::kEnumerate) {
     AggregateExecutor executor(query, ag);
-    AggregateExecutorOptions exec_options;
-    exec_options.deadline = options.deadline;
-    exec_options.pool = options.runtime.pool;
-    exec_options.cancel = options.runtime.cancel;
-    exec_options.weight = options.runtime.weight;
-    WF_ASSIGN_OR_RETURN(detail->aggregate,
-                        executor.Run(plan, spec, exec_options));
+    WF_ASSIGN_OR_RETURN(detail->aggregate, executor.Run(plan, spec, options));
   } else {
     EnumeratingAggregateSink fold(spec);
     const Status enumerated =
@@ -114,15 +100,12 @@ Result<WireframeRunDetail> WireframeEngine::RunDetailed(
   gen_options.triangulate = options_.triangulate;
   gen_options.edge_burnback = options_.edge_burnback;
   gen_options.lookahead = options_.lookahead;
-  gen_options.deadline = options.deadline;
-  gen_options.pool = options.runtime.pool;
-  gen_options.cancel = options.runtime.cancel;
-  gen_options.weight = options.runtime.weight;
   AgGenerator generator(db, catalog);
-  WF_ASSIGN_OR_RETURN(GeneratorResult gen,
-                      generator.Generate(query, detail.ag_plan, gen_options));
+  WF_ASSIGN_OR_RETURN(
+      GeneratorResult gen,
+      generator.Generate(query, detail.ag_plan, gen_options, options));
   const Stopwatch freeze_watch;
-  gen.ag->Freeze(options.runtime.pool, options.runtime.weight);
+  gen.ag->Freeze(options.pool, options.weight);
   detail.stats.freeze_seconds = freeze_watch.ElapsedSeconds();
   detail.stats.phase1_seconds = phase1_watch.ElapsedSeconds();
   detail.stats.burnback_seconds = gen.burnback_seconds;

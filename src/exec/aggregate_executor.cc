@@ -1,12 +1,12 @@
 #include "exec/aggregate_executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <span>
 #include <utility>
 
 #include "util/logging.h"
 #include "util/span_kernels.h"
-#include "util/thread_pool.h"
 
 namespace wireframe {
 
@@ -92,18 +92,12 @@ struct DpState {
       : counts(num_vars), keys(num_vars), has_counts(num_vars, 0) {}
 };
 
-/// Runs `body(worker, begin, end)` over [0, n) in morsels on the pool
-/// (resolved to non-null by AggregateExecutor::Run).
+/// Runs `body(worker, begin, end)` over [0, n) in morsels on the run's
+/// pool.
 template <typename Body>
-Status RunLoop(uint64_t n, const AggregateExecutorOptions& options,
-               const Body& body, std::atomic<bool>* stop = nullptr) {
-  ParallelForOptions po;
-  po.morsel_size = kDpMorselSize;
-  po.deadline = options.deadline;
-  po.cancel = options.cancel;
-  po.stop = stop;
-  po.weight = options.weight;
-  return options.pool->ParallelFor(n, po, body);
+Status RunLoop(uint64_t n, const EngineOptions& run, const Body& body,
+               std::atomic<bool>* stop = nullptr) {
+  return run.Pool()->ParallelFor(n, run.Morsels(kDpMorselSize, stop), body);
 }
 
 /// Sum of the child's down-counts over one span (the span length when
@@ -133,7 +127,7 @@ typename Ops::T SpanWeight(std::span<const NodeId> span,
 template <typename Ops>
 Status FoldStep(const QueryGraph& query, const AnswerGraph& ag,
                 const AggregateTreeStep& step,
-                const AggregateExecutorOptions& options, DpState<Ops>* dp) {
+                const EngineOptions& run, DpState<Ops>* dp) {
   using T = typename Ops::T;
   const QueryEdge& qe = query.Edge(step.edge);
   const PairSet& set = ag.Set(step.edge);
@@ -149,7 +143,7 @@ Status FoldStep(const QueryGraph& query, const AnswerGraph& ag,
                          Ops::FromLen(0));
     dp->has_counts[p] = 1;
     std::vector<T>& out = dp->counts[p];
-    return RunLoop(nodes.size(), options,
+    return RunLoop(nodes.size(), run,
                    [&](uint32_t, uint64_t begin, uint64_t end) {
                      for (uint64_t i = begin; i < end; ++i) {
                        if (i + kPrefetchAhead < nodes.size()) {
@@ -164,7 +158,7 @@ Status FoldStep(const QueryGraph& query, const AnswerGraph& ag,
 
   const std::vector<NodeId>& keys = dp->keys[p];
   std::vector<T>& out = dp->counts[p];
-  return RunLoop(keys.size(), options,
+  return RunLoop(keys.size(), run,
                  [&](uint32_t, uint64_t begin, uint64_t end) {
                    for (uint64_t i = begin; i < end; ++i) {
                      const NodeId c = keys[i];
@@ -281,8 +275,8 @@ typename Ops::T ApexWeight(const QueryGraph& query, const AnswerGraph& ag,
 template <typename Ops>
 Status RunCycleSweep(const QueryGraph& query, const AnswerGraph& ag,
                      const AggregatePlan& plan, const AggregateSpec& spec,
-                     const AggregateExecutorOptions& options,
-                     DpState<Ops>* dp, std::vector<NodeId>* keys_out,
+                     const EngineOptions& run, DpState<Ops>* dp,
+                     std::vector<NodeId>* keys_out,
                      std::vector<typename Ops::T>* totals_out) {
   using T = typename Ops::T;
   const VarId anchor = spec.group_var != kInvalidVar ? spec.group_var
@@ -299,12 +293,12 @@ Status RunCycleSweep(const QueryGraph& query, const AnswerGraph& ag,
   totals_out->assign(nodes.size(), Ops::FromLen(0));
   std::vector<T>& totals = *totals_out;
 
-  const uint32_t workers = options.pool->num_threads();
+  const uint32_t workers = run.Pool()->num_threads();
   std::vector<std::vector<NodeId>> scratch_a(workers), scratch_b(workers);
   std::atomic<bool> witness{false};  // ASK stops at the first hit
 
   const Status status = RunLoop(
-      nodes.size(), options,
+      nodes.size(), run,
       [&](uint32_t worker, uint64_t begin, uint64_t end) {
         for (uint64_t i = begin; i < end; ++i) {
           if (i + kPrefetchAhead < nodes.size()) {
@@ -371,11 +365,11 @@ template <typename Ops>
 Result<PassOutcome> RunPass(const QueryGraph& query, const AnswerGraph& ag,
                             const AggregatePlan& plan,
                             const AggregateSpec& spec,
-                            const AggregateExecutorOptions& options) {
+                            const EngineOptions& run) {
   using T = typename Ops::T;
   DpState<Ops> dp(query.NumVars());
   for (const AggregateTreeStep& step : plan.steps) {
-    const Status st = FoldStep<Ops>(query, ag, step, options, &dp);
+    const Status st = FoldStep<Ops>(query, ag, step, run, &dp);
     if (!st.ok()) return st;
   }
   PassOutcome out;
@@ -389,8 +383,8 @@ Result<PassOutcome> RunPass(const QueryGraph& query, const AnswerGraph& ag,
   } else {
     std::vector<NodeId> keys;
     std::vector<T> totals;
-    const Status st = RunCycleSweep<Ops>(query, ag, plan, spec, options, &dp,
-                                         &keys, &totals);
+    const Status st =
+        RunCycleSweep<Ops>(query, ag, plan, spec, run, &dp, &keys, &totals);
     if (!st.ok()) return st;
     out.result = ExtractResult<Ops>(
         keys, [&](size_t i) { return totals[i]; }, spec, &dp.overflow);
@@ -463,22 +457,20 @@ AggregateResult EnumeratingAggregateSink::TakeResult() {
 
 Result<AggregateResult> AggregateExecutor::Run(
     const AggregatePlan& plan, const AggregateSpec& spec,
-    const AggregateExecutorOptions& caller_options) const {
+    const EngineOptions& run) const {
   WF_CHECK(plan.mode != AggregateMode::kEnumerate)
       << "enumerate plans run through phase 2, not the DP";
   WF_CHECK(ag_->IsFrozen()) << "the counting DP requires a frozen AG";
-  AggregateExecutorOptions options = caller_options;
-  if (options.pool == nullptr) options.pool = InlinePool();
   {
     WF_ASSIGN_OR_RETURN(PassOutcome pass,
-                        RunPass<U64Ops>(*query_, *ag_, plan, spec, options));
+                        RunPass<U64Ops>(*query_, *ag_, plan, spec, run));
     if (!pass.overflowed) return std::move(pass.result);
   }
   // Loud promotion: some add or multiply left u64. Rerun the whole DP in
   // saturating 128-bit arithmetic — counting is AG-size-bound, so paying
   // it twice is still nothing next to enumerating the overflowing count.
   WF_ASSIGN_OR_RETURN(PassOutcome pass,
-                      RunPass<Sat128Ops>(*query_, *ag_, plan, spec, options));
+                      RunPass<Sat128Ops>(*query_, *ag_, plan, spec, run));
   return std::move(pass.result);
 }
 

@@ -1,7 +1,6 @@
 #ifndef WIREFRAME_EXEC_AGGREGATE_EXECUTOR_H_
 #define WIREFRAME_EXEC_AGGREGATE_EXECUTOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -9,15 +8,13 @@
 #include <vector>
 
 #include "core/answer_graph.h"
+#include "exec/engine.h"
 #include "exec/sink.h"
 #include "planner/aggregate_planner.h"
 #include "query/query_graph.h"
 #include "util/result.h"
-#include "util/timer.h"
 
 namespace wireframe {
-
-class ThreadPool;
 
 /// A count that survives past 2^64. The DP runs in u64 with explicit
 /// overflow checks and reruns in saturating unsigned 128-bit arithmetic
@@ -132,16 +129,6 @@ class EnumeratingAggregateSink : public Sink {
   std::unordered_map<NodeId, uint64_t> group_counts_;
 };
 
-struct AggregateExecutorOptions {
-  Deadline deadline;
-  /// Borrowed morsel pool (null runs on InlinePool).
-  ThreadPool* pool = nullptr;
-  /// Cooperative cancellation, polled like the deadline. May be null.
-  std::atomic<bool>* cancel = nullptr;
-  /// Task-group scheduler weight on a shared pool.
-  uint32_t weight = 1;
-};
-
 /// The factorized aggregate executor: evaluates COUNT(*),
 /// COUNT(DISTINCT ?v), ASK, and GROUP BY ?v COUNT(*) directly on the
 /// frozen CSR answer graph via the counting DP the AggregatePlanner
@@ -153,10 +140,11 @@ class AggregateExecutor {
       : query_(&query), ag_(&ag) {}
 
   /// Runs a kTreeDp or kCycleDp plan (kEnumerate is the caller's job —
-  /// run phase 2 into an EnumeratingAggregateSink instead).
+  /// run phase 2 into an EnumeratingAggregateSink instead). Each DP sweep
+  /// runs over morsels of one variable's key list on `run`'s pool.
   Result<AggregateResult> Run(const AggregatePlan& plan,
                               const AggregateSpec& spec,
-                              const AggregateExecutorOptions& options) const;
+                              const EngineOptions& run = {}) const;
 
   /// The materialized chords of `ag`, in the shape the planner wants.
   static std::vector<ChordSlot> MaterializedChords(const AnswerGraph& ag);

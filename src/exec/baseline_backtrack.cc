@@ -9,8 +9,7 @@ Result<EngineStats> BacktrackEngine::Run(const Database& db,
                                          const EngineOptions& options,
                                          Sink* sink) {
   const std::vector<uint32_t> order = OrderBySmallestLabel(query, catalog);
-  return RunPipelined(db, query, order, options.deadline,
-                      options.runtime.cancel, sink);
+  return RunPipelined(db, query, order, sink, options);
 }
 
 }  // namespace wireframe

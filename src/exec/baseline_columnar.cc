@@ -10,8 +10,11 @@ Result<EngineStats> ColumnarEngine::Run(const Database& db,
                                         Sink* sink) {
   (void)catalog;  // written order: no statistics consulted
   const std::vector<uint32_t> order = OrderAsWrittenConnected(query);
-  return RunMaterializing(db, query, order, options.deadline,
-                          options.runtime.cancel, kMaxCells, sink);
+  // Column-at-a-time operators run serially (SupportsThreads() is false):
+  // the run keeps its deadline and cancel flag but not its pool.
+  EngineOptions serial = options;
+  serial.pool = nullptr;
+  return RunMaterializing(db, query, order, kMaxCells, sink, serial);
 }
 
 }  // namespace wireframe

@@ -13,9 +13,7 @@ Result<EngineStats> HashJoinEngine::Run(const Database& db,
   // The build side of every join step runs in morsels on the borrowed
   // pool (Table-1 stays apples-to-apples with the parallel Wireframe
   // phases); a null pool runs them inline.
-  return RunMaterializing(db, query, order, options.deadline,
-                          options.runtime.cancel, kMaxCells, sink,
-                          options.runtime.pool, options.runtime.weight);
+  return RunMaterializing(db, query, order, kMaxCells, sink, options);
 }
 
 }  // namespace wireframe

@@ -10,8 +10,7 @@ Result<EngineStats> IndexNestedLoopEngine::Run(const Database& db,
                                                Sink* sink) {
   CardinalityEstimator estimator(catalog);
   const std::vector<uint32_t> order = OrderByEstimatedGrowth(query, estimator);
-  return RunPipelined(db, query, order, options.deadline,
-                      options.runtime.cancel, sink);
+  return RunPipelined(db, query, order, sink, options);
 }
 
 }  // namespace wireframe

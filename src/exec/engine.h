@@ -12,16 +12,19 @@
 #include "query/query_graph.h"
 #include "storage/database.h"
 #include "util/result.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace wireframe {
 
-class ThreadPool;
-
-/// Ties one engine Run into a worker pool and, optionally, a shared query
-/// runtime. Every field is borrowed (the owner outlives the Run) and may
-/// be left at its default.
-struct RuntimeHandle {
+/// The run context of one query: its budget, the pool its morsel loops
+/// run on, its cancel flag and its scheduler weight. Every phase that can
+/// be interrupted takes it by const reference. Borrowed fields (the owner
+/// outlives the Run) may be left at their defaults.
+struct EngineOptions {
+  /// Wall-clock budget; expired runs return Status::TimedOut (the paper
+  /// terminates queries at 300 s and prints '*').
+  Deadline deadline;
   /// The worker pool every morsel-parallel loop of the run is submitted
   /// to, as a fairly-scheduled task-group that interleaves with other
   /// callers' loops at morsel granularity. This is the only way to give a
@@ -41,16 +44,23 @@ struct RuntimeHandle {
   /// this, so a latency-class run preempts batch runs at morsel
   /// granularity without starving them.
   uint32_t weight = 1;
-};
 
-/// Per-run knobs common to every engine.
-struct EngineOptions {
-  /// Wall-clock budget; expired runs return Status::TimedOut (the paper
-  /// terminates queries at 300 s and prints '*').
-  Deadline deadline;
-  /// Borrowed worker pool, cancellation flag and scheduler weight (see
-  /// RuntimeHandle). Default-empty runs inline and cannot be revoked.
-  RuntimeHandle runtime;
+  /// The pool to run morsel loops on: `pool`, or InlinePool() when null.
+  ThreadPool* Pool() const { return pool != nullptr ? pool : InlinePool(); }
+
+  /// ParallelFor options for one morsel loop of this run: `morsel_size`,
+  /// this run's deadline, cancel flag and weight, and the loop's own
+  /// early-stop flag `stop` (may be null).
+  ParallelForOptions Morsels(uint64_t morsel_size,
+                             std::atomic<bool>* stop = nullptr) const {
+    ParallelForOptions options;
+    options.morsel_size = morsel_size;
+    options.deadline = deadline;
+    options.stop = stop;
+    options.cancel = cancel;
+    options.weight = weight;
+    return options;
+  }
 };
 
 /// Execution metrics an engine reports alongside its results.
@@ -99,7 +109,7 @@ class Engine {
   /// Short identifier ("WF", "PG", "VT", "MD", "NJ").
   virtual std::string_view name() const = 0;
 
-  /// True iff Run submits morsel loops to `options.runtime.pool`
+  /// True iff Run submits morsel loops to `options.pool`
   /// (Wireframe's two phases and the hash-join baseline's build side).
   /// The pipelined baselines are inherently tuple-at-a-time and stay
   /// serial; benches use this to record the thread count a cell actually

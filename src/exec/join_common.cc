@@ -204,16 +204,16 @@ void PipelineStep(PipelineContext& ctx, size_t depth) {
 
 Result<EngineStats> RunPipelined(const Database& db, const QueryGraph& query,
                                  const std::vector<uint32_t>& order,
-                                 const Deadline& deadline,
-                                 std::atomic<bool>* cancel, Sink* sink) {
+                                 Sink* sink, const EngineOptions& run) {
   Stopwatch watch;
   PipelineContext ctx;
   ctx.store = &db.store();
   ctx.query = &query;
   ctx.order = &order;
   ctx.sink = sink;
-  ctx.probe = InterruptProbe(deadline, cancel);
+  ctx.probe = InterruptProbe(run.deadline, run.cancel);
   ctx.binding.assign(query.NumVars(), kInvalidNode);
+  WF_RETURN_NOT_OK(ctx.probe.CheckNow("pipelined evaluation"));
   PipelineStep(ctx, 0);
   WF_RETURN_NOT_OK(ctx.probe.StatusFor("pipelined evaluation"));
   EngineStats stats;
@@ -233,19 +233,16 @@ constexpr uint64_t kBuildMorsel = 512;
 Result<EngineStats> RunMaterializing(const Database& db,
                                      const QueryGraph& query,
                                      const std::vector<uint32_t>& order,
-                                     const Deadline& deadline,
-                                     std::atomic<bool>* cancel,
                                      uint64_t max_cells, Sink* sink,
-                                     ThreadPool* pool, uint32_t weight) {
+                                     const EngineOptions& run) {
   Stopwatch watch;
   const TripleStore& store = db.store();
   const uint32_t num_vars = query.NumVars();
-  if (pool == nullptr) pool = InlinePool();
 
   // Rows are full-width bindings; unbound slots hold kInvalidNode.
   std::vector<std::vector<NodeId>> rows;
   EngineStats stats;
-  InterruptProbe probe(deadline, cancel, /*stride=*/1024);
+  InterruptProbe probe(run.deadline, run.cancel, /*stride=*/1024);
 
   bool first = true;
   for (uint32_t e : order) {
@@ -305,14 +302,9 @@ Result<EngineStats> RunMaterializing(const Database& db,
       std::vector<uint64_t> chunk_walks(num_morsels, 0);
       std::atomic<uint64_t> rows_in_flight{0};
       std::atomic<bool> over_budget{false};
-      ParallelForOptions pf;
-      pf.morsel_size = kBuildMorsel;
-      pf.deadline = deadline;
-      pf.stop = &over_budget;
-      pf.cancel = cancel;
-      pf.weight = weight;
-      const Status st = pool->ParallelFor(
-          rows.size(), pf, [&](uint32_t, uint64_t begin, uint64_t end) {
+      const Status st = run.Pool()->ParallelFor(
+          rows.size(), run.Morsels(kBuildMorsel, &over_budget),
+          [&](uint32_t, uint64_t begin, uint64_t end) {
             const uint64_t m = begin / kBuildMorsel;
             for (uint64_t i = begin; i < end; ++i) {
               extend_row(rows[i], chunks[m], chunk_walks[m]);

@@ -1,7 +1,6 @@
 #ifndef WIREFRAME_EXEC_JOIN_COMMON_H_
 #define WIREFRAME_EXEC_JOIN_COMMON_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -10,8 +9,6 @@
 #include "query/query_graph.h"
 #include "storage/database.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace wireframe {
 
@@ -71,14 +68,12 @@ std::vector<uint32_t> OrderAsWrittenConnected(const QueryGraph& query);
 
 /// Pipelined (tuple-at-a-time, index nested loop) evaluation directly over
 /// the triple store: depth-first extension of one binding at a time, no
-/// intermediate materialization. Neo4J/Virtuoso regime. `cancel`
-/// (borrowed, may be null) is the cooperative cancellation flag; it is
-/// polled on the same amortized cadence as the deadline and surfaces as
-/// Status::Cancelled.
+/// intermediate materialization, always serial (`run.pool` is unused).
+/// Neo4J/Virtuoso regime. `run`'s deadline and cancel flag are checked
+/// once before the first step and then on an amortized cadence.
 Result<EngineStats> RunPipelined(const Database& db, const QueryGraph& query,
                                  const std::vector<uint32_t>& order,
-                                 const Deadline& deadline,
-                                 std::atomic<bool>* cancel, Sink* sink);
+                                 Sink* sink, const EngineOptions& run = {});
 
 /// Fully materializing (relation-at-a-time) evaluation: every join step
 /// produces the complete intermediate binding table before the next step
@@ -87,19 +82,14 @@ Result<EngineStats> RunPipelined(const Database& db, const QueryGraph& query,
 /// benches report like a timeout.
 ///
 /// Each build step runs over morsels of the previous intermediate on
-/// `pool` (not owned; null runs on InlinePool); per-morsel row chunks
-/// concatenate in morsel order, so every intermediate — and the final
-/// result — is the same for every pool size. `weight` is the scheduler
-/// share of the build loops on a shared pool (service class of the
-/// owning query; see ParallelForOptions::weight).
+/// `run`'s pool; per-morsel row chunks concatenate in morsel order, so
+/// every intermediate — and the final result — is the same for every
+/// pool size.
 Result<EngineStats> RunMaterializing(const Database& db,
                                      const QueryGraph& query,
                                      const std::vector<uint32_t>& order,
-                                     const Deadline& deadline,
-                                     std::atomic<bool>* cancel,
                                      uint64_t max_cells, Sink* sink,
-                                     ThreadPool* pool = nullptr,
-                                     uint32_t weight = 1);
+                                     const EngineOptions& run = {});
 
 }  // namespace wireframe
 

@@ -476,11 +476,11 @@ std::pair<QueryOutcome, Status> QueryRuntime::Execute(QuerySession& session) {
 
   EngineOptions options;
   if (timeout > 0.0) options.deadline = Deadline::AfterSeconds(timeout);
-  options.runtime.pool = &pool_;
-  options.runtime.cancel = &session.cancel_;
+  options.pool = &pool_;
+  options.cancel = &session.cancel_;
   // The service class rides into every morsel loop of the run: pool
   // workers split between concurrent queries by these weights.
-  options.runtime.weight = tenants_[session.tenant_].spec.weight;
+  options.weight = tenants_[session.tenant_].spec.weight;
 
   Stopwatch run_watch;
   EngineRunArtifacts artifacts;

@@ -17,7 +17,8 @@ namespace wireframe {
 /// cheaper load and the stronger signal) and is sticky once triggered,
 /// so loops that cannot break out of a visitor callback stay cheap after
 /// the interrupt. Morsel loops get the same checks per morsel from
-/// ParallelForOptions{deadline, cancel}.
+/// ParallelFor, whose options carry the run's deadline and cancel flag
+/// (EngineOptions::Morsels).
 class InterruptProbe {
  public:
   /// Default: never interrupts (no deadline, no cancel flag).

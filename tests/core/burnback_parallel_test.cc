@@ -52,8 +52,9 @@ GenRun GenerateWithThreads(const Database& db, const Catalog& cat,
   GeneratorOptions options;
   options.burnback_parallel_threshold = 1;
   ThreadPool pool(threads);
-  options.pool = threads > 1 ? &pool : nullptr;
-  auto result = gen.Generate(q, *plan, options);
+  EngineOptions engine_options;
+  engine_options.pool = threads > 1 ? &pool : nullptr;
+  auto result = gen.Generate(q, *plan, options, engine_options);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   GenRun run;
   if (result.ok()) {
@@ -186,7 +187,7 @@ TEST(BurnbackParallelTest, EngineResultsUnaffectedByParallelBurnback) {
     CollectingSink sink;
     EngineOptions options;
     ThreadPool pool(threads);
-    options.runtime.pool = &pool;
+    options.pool = &pool;
     auto detail = engine.RunDetailed(db, cat, *q, options, &sink);
     EXPECT_TRUE(detail.ok()) << detail.status().ToString();
     std::set<std::vector<NodeId>> rows(sink.rows().begin(),

@@ -129,9 +129,9 @@ TEST(BushyExecutorTest, DeadlineEnforced) {
   ASSERT_TRUE(plan.ok());
   BushyExecutor executor(*q, *ag);
   CountingSink sink;
-  BushyExecutorOptions options;
-  options.deadline = Deadline::AlreadyExpired();
-  auto result = executor.Emit(*plan, &sink, options);
+  EngineOptions run;
+  run.deadline = Deadline::AlreadyExpired();
+  auto result = executor.Emit(*plan, &sink, BushyExecutorOptions{}, run);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsTimedOut());
 }

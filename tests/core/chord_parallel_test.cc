@@ -2,11 +2,14 @@
 // candidates (like regular edge extension) must produce exactly the chord
 // sets, |AG|, and embeddings of the serial path, for every thread count.
 
+#include <atomic>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "catalog/estimator.h"
+#include "core/generator.h"
 #include "core/wireframe.h"
 #include "datagen/synthetic.h"
 #include "query/parser.h"
@@ -30,7 +33,7 @@ ChordRun RunWf(const Database& db, const Catalog& cat, const QueryGraph& q,
   CollectingSink sink;
   EngineOptions options;
   ThreadPool pool(threads);
-  options.runtime.pool = &pool;
+  options.pool = &pool;
   auto detail = engine.RunDetailed(db, cat, q, options, &sink);
   EXPECT_TRUE(detail.ok()) << detail.status().ToString();
   ChordRun run;
@@ -117,11 +120,45 @@ TEST(ChordParallelTest, ChordMaterializationHonorsDeadline) {
     CountingSink sink;
     EngineOptions options;
     ThreadPool pool(threads);
-    options.runtime.pool = &pool;
+    options.pool = &pool;
     options.deadline = Deadline::AlreadyExpired();
     auto stats = engine.Run(db, cat, *q, options, &sink);
     ASSERT_FALSE(stats.ok());
     EXPECT_TRUE(stats.status().IsTimedOut()) << stats.status().ToString();
+  }
+}
+
+// A flag raised once the chords are materialized must stop edge burnback,
+// which checks the run's deadline and cancel flag before each triangle.
+TEST_F(ChordParallelFig4Test, EdgeBurnbackHonorsCancel) {
+  CardinalityEstimator estimator(cat_);
+  auto plan = Edgifier(query(), estimator).PlanEdgeOrder();
+  ASSERT_TRUE(plan.ok());
+  auto chords = Triangulator(query(), estimator).Triangulate(
+      AnalyzeShape(query()));
+  ASSERT_TRUE(chords.ok());
+  ASSERT_FALSE(chords->chords.empty());
+  plan->chords = chords->chords;
+  plan->base_triangles = chords->base_triangles;
+  plan->base_triangle_closing_edge = chords->base_triangle_closing_edge;
+
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::atomic<bool> cancel{false};
+    GeneratorOptions options;
+    options.triangulate = true;
+    options.edge_burnback = true;
+    options.trace = [&](const GeneratorTraceStep& step) {
+      if (step.kind == GeneratorTraceStep::Kind::kChord) cancel.store(true);
+    };
+    EngineOptions run;
+    run.pool = p;
+    run.cancel = &cancel;
+    auto result =
+        AgGenerator(db_, cat_).Generate(query(), *plan, options, run);
+    ASSERT_FALSE(result.ok()) << "pool " << (p == nullptr ? "inline" : "4");
+    EXPECT_TRUE(result.status().IsCancelled())
+        << result.status().ToString();
   }
 }
 

@@ -129,10 +129,11 @@ TEST(DefactorizerTest, ExpiredDeadlineTimesOut) {
   for (NodeId w = 100; w < 3000; ++w) a_sources.push_back(w);
   ChainFixture f(/*freeze=*/true, a_sources);
   CountingSink sink;
-  DefactorizerOptions options;
-  options.deadline = Deadline::AlreadyExpired();
+  EngineOptions run;
+  run.deadline = Deadline::AlreadyExpired();
   Defactorizer defac(f.q, f.ag);
-  auto n = defac.Emit(PlanOrder({0, 1, 2}), &sink, options);
+  auto n =
+      defac.Emit(PlanOrder({0, 1, 2}), &sink, DefactorizerOptions{}, run);
   ASSERT_FALSE(n.ok());
   EXPECT_TRUE(n.status().IsTimedOut());
 }
@@ -160,9 +161,9 @@ PhaseTwoRun RunPhaseTwo(const QueryGraph& q, const AnswerGraph& ag,
                         const EmbeddingPlan& plan, ThreadPool* pool) {
   Defactorizer defac(q, ag);
   CollectingSink sink;
-  DefactorizerOptions options;
+  EngineOptions options;
   options.pool = pool;
-  auto stats = defac.Emit(plan, &sink, options);
+  auto stats = defac.Emit(plan, &sink, DefactorizerOptions{}, options);
   EXPECT_TRUE(stats.ok()) << stats.status().ToString();
   PhaseTwoRun run;
   if (stats.ok()) run.stats = stats.value();

@@ -117,11 +117,11 @@ TEST(GeneratorTest, DeadlineSurfacesAsTimedOut) {
       "select * where { ?w A ?x . ?x B ?y . ?y C ?z . }", db);
   ASSERT_TRUE(q.ok());
   AgGenerator gen(db, cat);
-  GeneratorOptions options;
-  options.deadline = Deadline::AlreadyExpired();
+  EngineOptions run;
+  run.deadline = Deadline::AlreadyExpired();
   AgPlan plan;
   plan.edge_order = {0, 1, 2};
-  auto result = gen.Generate(*q, plan, options);
+  auto result = gen.Generate(*q, plan, GeneratorOptions{}, run);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsTimedOut());
 }

@@ -235,8 +235,8 @@ TEST(WireframeEngineTest, CancelFlagStopsEveryStage) {
       std::atomic<bool> cancel{true};
       EngineOptions options;
       ThreadPool pool(threads);
-      options.runtime.pool = &pool;
-      options.runtime.cancel = &cancel;
+      options.pool = &pool;
+      options.cancel = &cancel;
       CountingSink sink;
       auto run = engine.Run(*c.db, *c.cat, *q, options, &sink);
       ASSERT_FALSE(run.ok()) << c.what << " threads " << threads;
@@ -272,11 +272,11 @@ TEST(WireframeEngineTest, CancelFlagStopsEveryStage) {
   ThreadPool pool(4);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
     std::atomic<bool> cancel{true};
-    ChordMaterializeOptions options;
+    EngineOptions options;
     options.pool = p;
     options.cancel = &cancel;
     uint64_t walks = 0;
-    const Status st = evaluator.MaterializeChords(options, &walks);
+    const Status st = evaluator.MaterializeChords(&walks, options);
     EXPECT_TRUE(st.IsCancelled()) << st.ToString();
     EXPECT_EQ(walks, 0u);
   }

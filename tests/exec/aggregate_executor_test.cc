@@ -23,7 +23,7 @@ WireframeRunDetail RunAggregate(const Database& db, const Catalog& cat,
   WireframeEngine engine(wf_options);
   EngineOptions options;
   ThreadPool pool(threads);
-  options.runtime.pool = &pool;
+  options.pool = &pool;
   CollectingAggregateSink sink;
   auto detail = engine.RunDetailed(db, cat, *q, options, &sink);
   EXPECT_TRUE(detail.ok()) << detail.status().ToString();

@@ -1,8 +1,13 @@
+#include <atomic>
+
 #include <gtest/gtest.h>
 
 #include "datagen/figures.h"
+#include "datagen/synthetic.h"
 #include "exec/baselines.h"
 #include "exec/engine.h"
+#include "query/parser.h"
+#include "util/thread_pool.h"
 
 namespace wireframe {
 namespace {
@@ -65,6 +70,31 @@ TEST_P(AllEnginesFig1Test, ExpiredDeadlineTimesOut) {
   // legal, but a failure must be TimedOut.
   if (!stats.ok()) {
     EXPECT_TRUE(stats.status().IsTimedOut());
+  }
+}
+
+// A cancel flag raised before Run stops every engine before its first
+// row, pipelined baselines included, inline and on a shared pool.
+TEST_P(AllEnginesFig1Test, CancelRaisedBeforeRunStopsEveryEngine) {
+  Database db = MakeChainBlowupGraph(60, 60, 30);
+  Catalog cat = Catalog::Build(db.store());
+  auto q = SparqlParser::ParseAndBind(
+      "select * where { ?w A ?x . ?x B ?y . ?y C ?z . }", db);
+  ASSERT_TRUE(q.ok());
+  auto engine = MakeEngine(GetParam());
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::atomic<bool> cancel{true};
+    EngineOptions options;
+    options.pool = p;
+    options.cancel = &cancel;
+    CountingSink sink;
+    auto stats = engine->Run(db, cat, *q, options, &sink);
+    const char* where = p == nullptr ? "inline" : "pool of 4";
+    ASSERT_FALSE(stats.ok()) << where;
+    EXPECT_TRUE(stats.status().IsCancelled())
+        << where << ": " << stats.status().ToString();
+    EXPECT_EQ(sink.count(), 0u) << where;
   }
 }
 

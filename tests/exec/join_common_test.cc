@@ -73,7 +73,7 @@ TEST_F(JoinCommonTest, OrderAsWrittenRepairsConnectivity) {
 TEST_F(JoinCommonTest, PipelinedFindsAllEmbeddings) {
   QueryGraph q = Chain();
   CountingSink sink;
-  auto stats = RunPipelined(db_, q, {0, 1, 2}, Deadline{}, nullptr, &sink);
+  auto stats = RunPipelined(db_, q, {0, 1, 2}, &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->output_tuples, kFig1Embeddings);
   EXPECT_GT(stats->edge_walks, 0u);
@@ -82,7 +82,7 @@ TEST_F(JoinCommonTest, PipelinedFindsAllEmbeddings) {
 TEST_F(JoinCommonTest, PipelinedBackwardOrder) {
   QueryGraph q = Chain();
   CountingSink sink;
-  auto stats = RunPipelined(db_, q, {2, 1, 0}, Deadline{}, nullptr, &sink);
+  auto stats = RunPipelined(db_, q, {2, 1, 0}, &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->output_tuples, kFig1Embeddings);
 }
@@ -90,9 +90,7 @@ TEST_F(JoinCommonTest, PipelinedBackwardOrder) {
 TEST_F(JoinCommonTest, MaterializingFindsAllEmbeddings) {
   QueryGraph q = Chain();
   CountingSink sink;
-  auto stats =
-      RunMaterializing(db_, q, {0, 1, 2}, Deadline{}, nullptr,
-                       1 << 20, &sink);
+  auto stats = RunMaterializing(db_, q, {0, 1, 2}, 1 << 20, &sink);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->output_tuples, kFig1Embeddings);
   EXPECT_GE(stats->peak_intermediate, kFig1Embeddings);
@@ -101,8 +99,7 @@ TEST_F(JoinCommonTest, MaterializingFindsAllEmbeddings) {
 TEST_F(JoinCommonTest, MaterializingRespectsMemoryBudget) {
   QueryGraph q = Chain();
   CountingSink sink;
-  auto stats =
-      RunMaterializing(db_, q, {0, 1, 2}, Deadline{}, nullptr, 8, &sink);
+  auto stats = RunMaterializing(db_, q, {0, 1, 2}, 8, &sink);
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kOutOfRange);
 }
@@ -113,17 +110,18 @@ TEST_F(JoinCommonTest, PipelinedHonorsDeadline) {
   // An expired deadline is only noticed on the check stride; build a
   // query whose enumeration would exceed it.
   Database big = MakeFig1Graph();
-  auto stats = RunPipelined(big, q, {0, 1, 2}, Deadline::AfterSeconds(1000),
-                            nullptr, &sink);
+  EngineOptions run;
+  run.deadline = Deadline::AfterSeconds(1000);
+  auto stats = RunPipelined(big, q, {0, 1, 2}, &sink, run);
   EXPECT_TRUE(stats.ok());
 }
 
 TEST_F(JoinCommonTest, MaterializingHonorsExpiredDeadline) {
   QueryGraph q = Chain();
   CountingSink sink;
-  auto stats = RunMaterializing(db_, q, {0, 1, 2},
-                                Deadline::AlreadyExpired(), nullptr,
-                                1 << 20, &sink);
+  EngineOptions run;
+  run.deadline = Deadline::AlreadyExpired();
+  auto stats = RunMaterializing(db_, q, {0, 1, 2}, 1 << 20, &sink, run);
   ASSERT_FALSE(stats.ok());
   EXPECT_TRUE(stats.status().IsTimedOut());
 }

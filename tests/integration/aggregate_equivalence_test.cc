@@ -53,7 +53,7 @@ void ExpectAggregateEquivalent(const Database& db, const Catalog& cat,
       WireframeEngine engine(wf_options);
       EngineOptions options;
       ThreadPool pool(threads);
-      options.runtime.pool = &pool;
+      options.pool = &pool;
       CollectingAggregateSink sink;
       auto detail = engine.RunDetailed(db, cat, *q, options, &sink);
       ASSERT_TRUE(detail.ok())

@@ -58,7 +58,7 @@ WfRun RunWf(const Database& db, const Catalog& cat, const QueryGraph& q,
   CollectingSink sink;
   EngineOptions options;
   ThreadPool pool(threads);
-  options.runtime.pool = &pool;
+  options.pool = &pool;
   auto detail = engine.RunDetailed(db, cat, q, options, &sink);
   EXPECT_TRUE(detail.ok()) << detail.status().ToString();
   WfRun run;

@@ -92,5 +92,23 @@ TEST_F(HarnessTest, UnknownEngineChecks) {
   EXPECT_DEATH(harness.RunCell(Chain(), "XX"), "unknown engine");
 }
 
+TEST(ParseThreadListTest, ResolvesZeroAndDropsRepeats) {
+  const uint32_t cores = ThreadPool::ResolveThreads(0);
+  EXPECT_EQ(ParseThreadList("1,2,1"), (std::vector<uint32_t>{1, 2}));
+  const std::vector<uint32_t> swept =
+      ParseThreadList("1,0," + std::to_string(cores));
+  EXPECT_EQ(swept.back(), cores);
+  EXPECT_EQ(swept.size(), cores == 1 ? 1u : 2u);
+}
+
+TEST(ParseThreadListTest, RejectsAnythingButNonNegativeIntegers) {
+  for (const char* bad : {"-1", "1,-1", "2.5", "", "1,,2", "x", "+3",
+                          "4294967296"}) {
+    EXPECT_EXIT(ParseThreadList(bad), ::testing::ExitedWithCode(2),
+                "--threads_list")
+        << bad;
+  }
+}
+
 }  // namespace
 }  // namespace wireframe

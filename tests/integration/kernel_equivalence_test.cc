@@ -51,7 +51,7 @@ KernelRun RunWithDispatch(const Database& db, const Catalog& cat,
   CollectingSink sink;
   EngineOptions options;
   ThreadPool pool(threads);
-  options.runtime.pool = &pool;
+  options.pool = &pool;
   auto detail = engine.RunDetailed(db, cat, q, options, &sink);
   EXPECT_TRUE(detail.ok()) << detail.status().ToString();
   KernelRun run;

@@ -35,7 +35,7 @@ WfRun RunWf(const Database& db, const Catalog& cat, const QueryGraph& q,
   CollectingSink sink;
   EngineOptions options;
   ThreadPool pool(threads);
-  options.runtime.pool = &pool;
+  options.pool = &pool;
   auto detail = engine.RunDetailed(db, cat, q, options, &sink);
   EXPECT_TRUE(detail.ok()) << detail.status().ToString();
   WfRun run;
@@ -55,7 +55,7 @@ std::set<std::vector<NodeId>> RunEngine(const char* name, const Database& db,
   CollectingSink sink;
   EngineOptions options;
   ThreadPool pool(threads);
-  options.runtime.pool = &pool;
+  options.pool = &pool;
   auto stats = engine->Run(db, cat, q, options, &sink);
   EXPECT_TRUE(stats.ok()) << name << ": " << stats.status().ToString();
   return {sink.rows().begin(), sink.rows().end()};
@@ -183,7 +183,7 @@ TEST(ParallelEquivalenceTest, LimitSinkStopsParallelEnumeration) {
   LimitSink sink(10);
   EngineOptions options;
   ThreadPool pool(4);
-  options.runtime.pool = &pool;
+  options.pool = &pool;
   auto stats = engine.Run(db, cat, *q, options, &sink);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(sink.count(), 10u);
@@ -200,7 +200,7 @@ TEST(ParallelEquivalenceTest, ExpiredDeadlineTimesOutInParallel) {
   CountingSink sink;
   EngineOptions options;
   ThreadPool pool(4);
-  options.runtime.pool = &pool;
+  options.pool = &pool;
   options.deadline = Deadline::AlreadyExpired();
   auto stats = engine.Run(db, cat, *q, options, &sink);
   ASSERT_FALSE(stats.ok());

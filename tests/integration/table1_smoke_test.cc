@@ -123,7 +123,7 @@ TEST_F(Table1SmokeTest, PhaseOneCountsArePinned) {
       CountingSink sink;
       EngineOptions options;
       options.deadline = Deadline::AfterSeconds(60);
-      options.runtime.pool = lent;
+      options.pool = lent;
       auto stats = wf->Run(*db_, *cat_, *q, options, &sink);
       ASSERT_TRUE(stats.ok()) << path << " query " << i;
       EXPECT_EQ(stats->edge_walks, expected[i].edge_walks)
