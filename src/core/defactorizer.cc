@@ -1,10 +1,13 @@
 #include "core/defactorizer.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <utility>
 
+#include "query/shape.h"
 #include "util/interrupt.h"
 #include "util/logging.h"
 #include "util/span_kernels.h"
@@ -13,7 +16,7 @@ namespace wireframe {
 
 namespace {
 
-/// First-edge pairs per morsel. Each pair roots a whole enumeration
+/// Root pairs per morsel. Each pair roots a whole enumeration
 /// subtree, so morsels are small to balance skew; the dispatch cost is
 /// one fetch_add per morsel.
 constexpr uint64_t kRootMorsel = 64;
@@ -22,6 +25,12 @@ constexpr uint64_t kRootMorsel = 64;
 /// batch and reaches the sink one EmitBatch call per this many rows, so
 /// a declining sink can leave at most this many rows made but unseen.
 constexpr size_t kBatchRows = 256;
+
+/// Words in the zero-padded row template. A row of at most this many
+/// columns is written as one fixed-size copy of the template, which the
+/// compiler turns into a few vector stores; the batch carries this many
+/// words of tail slack so the last row's copy stays in bounds.
+constexpr size_t kRowWords = 16;
 
 /// One chord evaluated by span intersection: at its check depth (any
 /// depth but 0) exactly one endpoint is newly bound, so the chord
@@ -37,31 +46,60 @@ struct IntersectChord {
   bool fwd;
 };
 
+/// One pendant query edge: `var` is bound by this edge alone, and its
+/// candidates are one span keyed by the other endpoint, a skeleton
+/// variable.
+struct LeafEdge {
+  uint32_t edge;
+  /// The leaf variable.
+  VarId var;
+  /// True: the key is the edge's src, so the span is FwdNeighbors(key);
+  /// false: BwdNeighbors.
+  bool fwd;
+};
+
 /// Recursive enumeration state shared across frames.
 struct EmitContext {
   const QueryGraph* query;
   const AnswerGraph* ag;
-  const std::vector<uint32_t>* order;
-  /// depth_chords[d]: the chords that become checkable at depth d >= 1,
-  /// in intersection form (precomputed from the join order: the bound
-  /// set at each depth is static, so orientation needs no runtime probe).
+  /// The skeleton edges in enumeration order; the first one roots.
+  const std::vector<uint32_t>* skeleton;
+  /// depth_chords[d]: the chords that become checkable at skeleton depth
+  /// d >= 1, in intersection form (precomputed from the skeleton order:
+  /// the bound set at each depth is static, so orientation needs no
+  /// runtime probe).
   const std::vector<std::vector<IntersectChord>>* depth_chords;
+  /// The leaf edges in product order: the last one varies fastest.
+  const std::vector<LeafEdge>* leaves;
+  /// var_leaves[v]: indexes into *leaves of the leaf edges keyed by v.
+  const std::vector<std::vector<uint32_t>>* var_leaves;
   Sink* sink;
   InterruptProbe probe;
   std::vector<NodeId> binding;
   DefactorizerStats stats;
-  bool stop = false;  // sink asked to stop (not an error)
+  bool stop = false;  // sink asked to stop, or the run was interrupted
   /// Ping-pong intersection scratch, indexed by depth: a frame only
   /// touches its own depth's buffers, so recursion below it is safe.
   std::vector<std::vector<NodeId>> isect_a;
   std::vector<std::vector<NodeId>> isect_b;
+  /// leaf_spans[i]: leaf i's span under the current skeleton binding,
+  /// fetched when its key was bound.
+  std::vector<std::span<const NodeId>> leaf_spans;
+  /// The product's odometer: a position in each outer leaf span.
+  std::vector<size_t> odometer;
+  /// True when a row fits row_template (width <= kRowWords).
+  bool padded = false;
+  /// The binding, zero-padded to kRowWords: the source of every row
+  /// EmitSpan copies when `padded`.
+  std::array<NodeId, kRowWords> row_template{};
   /// The output batch: kBatchRows rows of binding.size() columns,
-  /// row-major; the first batch_rows are filled.
+  /// row-major, plus kRowWords words of slack; the first batch_rows are
+  /// filled.
   std::vector<NodeId> batch;
   size_t batch_rows = 0;
 
-  /// Amortized deadline + cancellation probe; also true once the sink
-  /// declined more rows.
+  /// Amortized deadline + cancellation probe; also true once the run
+  /// stopped.
   bool DeadlineHit() {
     if (stop) return true;
     if (!probe.Hit()) return false;
@@ -70,7 +108,10 @@ struct EmitContext {
   }
 
   /// Hands the filled rows to the sink; `emitted` counts the rows it
-  /// consumed. A decline stops the run.
+  /// consumed. A decline stops the run, and so does a cancel or an
+  /// expired deadline, checked once per batch: one skeleton binding can
+  /// expand to any number of rows, and this is the only check its
+  /// product passes.
   void Flush() {
     if (batch_rows == 0) return;
     if (!DeliverBatch(sink, batch.data(), batch_rows, binding.size(),
@@ -78,6 +119,7 @@ struct EmitContext {
       stop = true;
     }
     batch_rows = 0;
+    if (!probe.CheckNow("embedding generation").ok()) stop = true;
   }
 
   /// Appends the current (complete) binding as one row.
@@ -87,38 +129,117 @@ struct EmitContext {
     if (++batch_rows == kBatchRows) Flush();
   }
 
-  /// Appends one row per candidate: the current binding with `free_var`
-  /// set to the candidate. The leaf-depth form of EmitRow — no
-  /// per-candidate recursion, and the span goes into the batch in
-  /// chunks of whatever room is left.
-  void EmitSpan(std::span<const NodeId> candidates, VarId free_var) {
+  /// Appends one row per candidate: `cols` (Columns()) with `free_var`
+  /// set to the candidate, with no per-candidate recursion. The span
+  /// goes into the batch in chunks of whatever room is left. Returns the
+  /// rows written, fewer than the candidates once the run stops.
+  size_t EmitSpan(const NodeId* cols, std::span<const NodeId> candidates,
+                  VarId free_var) {
     const size_t width = binding.size();
     size_t i = 0;
     while (i < candidates.size() && !stop) {
       const size_t take =
           std::min(candidates.size() - i, kBatchRows - batch_rows);
       NodeId* row = batch.data() + batch_rows * width;
-      for (size_t k = 0; k < take; ++k, row += width) {
-        std::copy(binding.begin(), binding.end(), row);
-        row[free_var] = candidates[i + k];
+      if (padded) {
+        for (size_t k = 0; k < take; ++k, row += width) {
+          std::memcpy(row, cols, kRowWords * sizeof(NodeId));
+          row[free_var] = candidates[i + k];
+        }
+      } else {
+        for (size_t k = 0; k < take; ++k, row += width) {
+          std::copy(cols, cols + width, row);
+          row[free_var] = candidates[i + k];
+        }
       }
       i += take;
       batch_rows += take;
       if (batch_rows == kBatchRows) Flush();
+    }
+    return i;
+  }
+
+  /// The current binding, padded into row_template when rows fit it: the
+  /// columns EmitSpan copies.
+  NodeId* Columns() {
+    if (!padded) return binding.data();
+    std::copy(binding.begin(), binding.end(), row_template.begin());
+    return row_template.data();
+  }
+
+  /// Fetches the span of every leaf keyed by `var`, which was just
+  /// bound. False if one is empty: no row extends this binding.
+  bool FetchLeaves(VarId var) {
+    const NodeId key = binding[var];
+    for (const uint32_t i : (*var_leaves)[var]) {
+      const LeafEdge& leaf = (*leaves)[i];
+      const PairSet& set = ag->Set(leaf.edge);
+      leaf_spans[i] = leaf.fwd ? set.FwdNeighbors(key) : set.BwdNeighbors(key);
+      ++stats.extensions;
+      if (leaf_spans[i].empty()) return false;
+    }
+    return true;
+  }
+
+  /// Writes the rows of one complete skeleton binding: the Cartesian
+  /// product of its (non-empty) leaf spans. An odometer walks the outer
+  /// spans, the last leaf varying fastest, and the innermost span goes
+  /// through EmitSpan: the rows and their order are those of
+  /// depth-first recursion over the leaves.
+  void EmitProduct() {
+    if (leaves->empty()) {
+      EmitRow();
+      return;
+    }
+    NodeId* cols = Columns();
+    const size_t inner = leaves->size() - 1;
+    for (size_t i = 0; i < inner; ++i) {
+      odometer[i] = 0;
+      cols[(*leaves)[i].var] = leaf_spans[i][0];
+    }
+    const VarId inner_var = (*leaves)[inner].var;
+    for (;;) {
+      stats.extensions += EmitSpan(cols, leaf_spans[inner], inner_var);
+      if (stop) return;
+      size_t i = inner;
+      for (;;) {
+        if (i == 0) return;  // every outer span wrapped: product done
+        --i;
+        const std::span<const NodeId> span = leaf_spans[i];
+        if (++odometer[i] < span.size()) {
+          cols[(*leaves)[i].var] = span[odometer[i]];
+          break;
+        }
+        odometer[i] = 0;
+        cols[(*leaves)[i].var] = span[0];
+      }
     }
   }
 };
 
 void EmitStep(EmitContext& ctx, size_t depth);
 
+/// Binds `free_var` to each candidate in turn and recurses, skipping a
+/// candidate whose leaf spans are empty.
+void BindAndRecurse(EmitContext& ctx, size_t depth,
+                    std::span<const NodeId> candidates, VarId free_var) {
+  NodeId& free_slot = ctx.binding[free_var];
+  for (const NodeId value : candidates) {
+    if (ctx.stop) break;
+    free_slot = value;
+    if (ctx.FetchLeaves(free_var)) EmitStep(ctx, depth + 1);
+  }
+  free_slot = kInvalidNode;
+}
+
 /// A depth with chords to check: instead of scanning `ext` and probing
 /// every chord per candidate, intersect the extension span with each
 /// chord span (both sorted CSR spans) and recurse only over the
-/// survivors — or, at the last depth, write them into the output batch
-/// as one span. Accounting counts what per-candidate probing would: one
-/// extension per span candidate, one rejection per candidate failing any
-/// chord — so stats are invariant across kernel dispatch and thread
-/// count.
+/// survivors — or, at the last depth of a leafless query, write them
+/// into the output batch as one span. Accounting counts what
+/// per-candidate probing would: one extension per span candidate, one
+/// rejection per candidate failing any chord — so stats are invariant
+/// across kernel dispatch and thread count.
 void IntersectAndRecurse(EmitContext& ctx, size_t depth,
                          std::span<const NodeId> ext, VarId free_var) {
   ctx.stats.extensions += ext.size();
@@ -139,26 +260,20 @@ void IntersectAndRecurse(EmitContext& ctx, size_t depth,
     into_a = !into_a;
   }
   ctx.stats.chord_rejections += ext.size() - current.size();
-  if (depth + 1 == ctx.order->size()) {
-    ctx.EmitSpan(current, free_var);
+  if (depth + 1 == ctx.skeleton->size() && ctx.leaves->empty()) {
+    ctx.EmitSpan(ctx.Columns(), current, free_var);
     return;
   }
-  NodeId& free_slot = ctx.binding[free_var];
-  for (const NodeId value : current) {
-    if (ctx.stop) break;
-    free_slot = value;
-    EmitStep(ctx, depth + 1);
-  }
-  free_slot = kInvalidNode;
+  BindAndRecurse(ctx, depth, current, free_var);
 }
 
 void EmitStep(EmitContext& ctx, size_t depth) {
   if (ctx.stop) return;
-  if (depth == ctx.order->size()) {
-    ctx.EmitRow();
+  if (depth == ctx.skeleton->size()) {
+    ctx.EmitProduct();
     return;
   }
-  const uint32_t e = (*ctx.order)[depth];
+  const uint32_t e = (*ctx.skeleton)[depth];
   const QueryEdge& qe = ctx.query->Edge(e);
   const PairSet& set = ctx.ag->Set(e);
   NodeId& src_slot = ctx.binding[qe.src];
@@ -174,8 +289,8 @@ void EmitStep(EmitContext& ctx, size_t depth) {
     if (set.Contains(src_slot, dst_slot)) EmitStep(ctx, depth + 1);
     return;
   }
-  // The root partition binds depth 0, and the plan is connected, so
-  // every later edge has at least one endpoint bound.
+  // The root partition binds depth 0, and the skeleton order is
+  // connected, so every later edge has at least one endpoint bound.
   WF_DCHECK(src_bound || dst_bound) << "disconnected embedding plan";
   const VarId free_var = src_bound ? qe.dst : qe.src;
   const NodeId key = src_bound ? src_slot : dst_slot;
@@ -185,20 +300,13 @@ void EmitStep(EmitContext& ctx, size_t depth) {
     IntersectAndRecurse(ctx, depth, ext, free_var);
     return;
   }
-  if (depth + 1 == ctx.order->size()) {
-    // Last depth, nothing to check: the span is the rows.
-    ctx.stats.extensions += ext.size();
-    ctx.EmitSpan(ext, free_var);
+  ctx.stats.extensions += ext.size();
+  if (depth + 1 == ctx.skeleton->size() && ctx.leaves->empty()) {
+    // Last depth, nothing to check or multiply: the span is the rows.
+    ctx.EmitSpan(ctx.Columns(), ext, free_var);
     return;
   }
-  NodeId& free_slot = ctx.binding[free_var];
-  for (const NodeId candidate : ext) {
-    if (ctx.stop) break;
-    ++ctx.stats.extensions;
-    free_slot = candidate;
-    EmitStep(ctx, depth + 1);
-  }
-  free_slot = kInvalidNode;
+  BindAndRecurse(ctx, depth, ext, free_var);
 }
 
 }  // namespace
@@ -211,60 +319,110 @@ Result<DefactorizerStats> Defactorizer::Emit(
   WF_CHECK(!plan.join_order.empty()) << "embedding plan has no edges";
   WF_CHECK(ag_->IsFrozen()) << "phase 2 requires a frozen AnswerGraph";
 
-  // Each materialized chord is checked at the first depth after which
-  // both its endpoints are bound. At depth 0 it filters the root pairs;
-  // at any later depth exactly one endpoint — the edge's free variable —
-  // is new (the plan is connected), so the chord becomes a span
-  // intersection over the extension candidates.
-  const std::vector<uint32_t>& order = plan.join_order;
-  std::vector<uint32_t> root_chords;
-  std::vector<std::vector<IntersectChord>> depth_chords(order.size());
+  // The chords phase 2 checks count toward the variable degrees, so a
+  // chord endpoint is never a leaf variable.
+  std::vector<uint32_t> chord_slots;
+  std::vector<std::pair<VarId, VarId>> links;
   if (options.use_chords) {
-    std::vector<bool> bound(query_->NumVars(), false);
-    for (size_t d = 0; d < order.size(); ++d) {
-      const QueryEdge& qe = query_->Edge(order[d]);
-      auto bound_after = [&](VarId v) {
-        return bound[v] || v == qe.src || v == qe.dst;
-      };
-      for (uint32_t slot = ag_->NumQueryEdges(); slot < ag_->NumEdgeSets();
-           ++slot) {
-        if (!ag_->IsMaterialized(slot)) continue;
-        const VarId cu = ag_->SrcVar(slot);
-        const VarId cv = ag_->DstVar(slot);
-        if (!bound_after(cu) || !bound_after(cv) || (bound[cu] && bound[cv])) {
-          continue;  // not checkable yet, or checked at an earlier depth
-        }
-        if (d == 0) {
-          root_chords.push_back(slot);
-          continue;
-        }
-        const bool cu_new = !bound[cu];
-        const bool cv_new = !bound[cv];
-        WF_DCHECK(cu_new != cv_new) << "disconnected embedding plan";
-        depth_chords[d].push_back({slot, cu_new ? cv : cu, /*fwd=*/cv_new});
-      }
-      bound[qe.src] = true;
-      bound[qe.dst] = true;
+    for (uint32_t slot = ag_->NumQueryEdges(); slot < ag_->NumEdgeSets();
+         ++slot) {
+      if (!ag_->IsMaterialized(slot)) continue;
+      chord_slots.push_back(slot);
+      links.emplace_back(ag_->SrcVar(slot), ag_->DstVar(slot));
     }
   }
 
+  // Split the plan into skeleton and leaves. The skeleton keeps the
+  // plan's order, each time taking the next edge connected to the bound
+  // set; a star keeps its first plan edge as the skeleton. The leaves
+  // keep the plan's order too, as the product's.
+  //
+  // Each materialized chord is checked at the first skeleton depth after
+  // which both its endpoints are bound. At depth 0 it filters the root
+  // pairs; at any later depth exactly one endpoint — the edge's free
+  // variable — is new (the skeleton order is connected), so the chord
+  // becomes a span intersection over the extension candidates.
+  const std::vector<uint32_t>& order = plan.join_order;
+  std::vector<bool> leaf = LeafEdges(*query_, links);
+  if (std::find(leaf.begin(), leaf.end(), false) == leaf.end()) {
+    leaf[order[0]] = false;
+  }
+  std::vector<uint32_t> pending;
+  for (const uint32_t e : order) {
+    if (!leaf[e]) pending.push_back(e);
+  }
+  std::vector<uint32_t> skeleton;
+  std::vector<uint32_t> root_chords;
+  std::vector<std::vector<IntersectChord>> depth_chords;
+  std::vector<bool> bound(query_->NumVars(), false);
+  while (!pending.empty()) {
+    auto next = pending.begin();
+    if (!skeleton.empty()) {
+      next = std::find_if(pending.begin(), pending.end(), [&](uint32_t e) {
+        return bound[query_->Edge(e).src] || bound[query_->Edge(e).dst];
+      });
+      WF_CHECK(next != pending.end()) << "disconnected embedding plan";
+    }
+    const QueryEdge& qe = query_->Edge(*next);
+    auto bound_after = [&](VarId v) {
+      return bound[v] || v == qe.src || v == qe.dst;
+    };
+    depth_chords.emplace_back();
+    for (const uint32_t slot : chord_slots) {
+      const VarId cu = ag_->SrcVar(slot);
+      const VarId cv = ag_->DstVar(slot);
+      if (!bound_after(cu) || !bound_after(cv) || (bound[cu] && bound[cv])) {
+        continue;  // not checkable yet, or checked at an earlier depth
+      }
+      if (skeleton.empty()) {
+        root_chords.push_back(slot);
+        continue;
+      }
+      const bool cu_new = !bound[cu];
+      const bool cv_new = !bound[cv];
+      WF_DCHECK(cu_new != cv_new) << "disconnected embedding plan";
+      depth_chords.back().push_back({slot, cu_new ? cv : cu, /*fwd=*/cv_new});
+    }
+    bound[qe.src] = true;
+    bound[qe.dst] = true;
+    skeleton.push_back(*next);
+    pending.erase(next);
+  }
+  std::vector<LeafEdge> leaves;
+  std::vector<std::vector<uint32_t>> var_leaves(query_->NumVars());
+  for (const uint32_t e : order) {
+    if (!leaf[e]) continue;
+    const QueryEdge& qe = query_->Edge(e);
+    const bool fwd = bound[qe.src];
+    WF_CHECK(fwd != bound[qe.dst]) << "leaf edge not keyed by the skeleton";
+    var_leaves[fwd ? qe.src : qe.dst].push_back(
+        static_cast<uint32_t>(leaves.size()));
+    leaves.push_back({e, fwd ? qe.dst : qe.src, fwd});
+  }
+
+  const size_t width = query_->NumVars();
   auto init_context = [&](EmitContext& ctx) {
     ctx.query = query_;
     ctx.ag = ag_;
-    ctx.order = &plan.join_order;
+    ctx.skeleton = &skeleton;
     ctx.depth_chords = &depth_chords;
+    ctx.leaves = &leaves;
+    ctx.var_leaves = &var_leaves;
     ctx.probe = InterruptProbe(run.deadline, run.cancel);
-    ctx.binding.assign(query_->NumVars(), kInvalidNode);
-    ctx.isect_a.resize(plan.join_order.size());
-    ctx.isect_b.resize(plan.join_order.size());
-    ctx.batch.resize(kBatchRows * query_->NumVars());
+    ctx.binding.assign(width, kInvalidNode);
+    ctx.isect_a.resize(skeleton.size());
+    ctx.isect_b.resize(skeleton.size());
+    ctx.leaf_spans.resize(leaves.size());
+    ctx.odometer.resize(leaves.size());
+    ctx.padded = width <= kRowWords;
+    ctx.batch.resize(kBatchRows * width + kRowWords);
   };
 
-  // Partition the first edge's pairs; each worker runs the recursive
-  // EmitStep over its own context from depth 1, draining rows through a
-  // private SinkShard.
+  // Partition the first skeleton edge's pairs; each worker runs the
+  // recursive EmitStep over its own context from depth 1, draining rows
+  // through a private SinkShard.
   ThreadPool* pool = run.Pool();
-  const uint32_t e0 = plan.join_order[0];
+  const uint32_t e0 = skeleton[0];
   const QueryEdge& qe0 = query_->Edge(e0);
   const PairSet& first = ag_->Set(e0);
   std::vector<std::pair<NodeId, NodeId>> roots;
@@ -333,7 +491,9 @@ Result<DefactorizerStats> Defactorizer::Emit(
           ++ctx.stats.extensions;
           ctx.binding[qe0.src] = u;
           ctx.binding[qe0.dst] = v;
-          EmitStep(ctx, 1);
+          if (ctx.FetchLeaves(qe0.src) && ctx.FetchLeaves(qe0.dst)) {
+            EmitStep(ctx, 1);
+          }
           ctx.binding[qe0.src] = kInvalidNode;
           ctx.binding[qe0.dst] = kInvalidNode;
         }

@@ -28,6 +28,12 @@ struct AgEdgeStats {
 /// results can shrink, so join order matters: the planner greedily extends
 /// with the connected edge minimizing the estimated intermediate size,
 /// starting from the smallest edge set.
+///
+/// The greedy orders the skeleton only (the edges left once the pendant
+/// edges are removed, query/shape.h LeafEdges), since phase 2 enumerates
+/// just the skeleton and writes the leaves' spans as a product per
+/// skeleton binding. The leaf edges follow, in ascending estimated
+/// fan-out, so the widest span is the product's innermost run.
 class EmbeddingPlanner {
  public:
   explicit EmbeddingPlanner(const QueryGraph& query) : query_(&query) {}

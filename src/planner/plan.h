@@ -64,7 +64,9 @@ struct AgPlan {
 };
 
 /// Phase-2 plan: the order in which answer-graph edge sets are joined when
-/// composing embeddings (defactorization).
+/// composing embeddings (defactorization). The planner puts the skeleton
+/// edges first, in a connected order, and the leaf edges after them; the
+/// defactorizer accepts any connected order and makes the same split.
 struct EmbeddingPlan {
   std::vector<uint32_t> join_order;
   double estimated_tuples = 0.0;

@@ -123,4 +123,21 @@ bool IsConnected(const QueryGraph& query) {
 
 bool IsAcyclic(const QueryGraph& query) { return AnalyzeShape(query).acyclic; }
 
+std::vector<bool> LeafEdges(
+    const QueryGraph& query,
+    const std::vector<std::pair<VarId, VarId>>& links) {
+  std::vector<uint32_t> degree(query.NumVars(), 0);
+  for (VarId v = 0; v < query.NumVars(); ++v) degree[v] = query.Degree(v);
+  for (const auto& [u, v] : links) {
+    ++degree[u];
+    ++degree[v];
+  }
+  std::vector<bool> leaf(query.NumEdges(), false);
+  for (uint32_t e = 0; e < query.NumEdges(); ++e) {
+    const QueryEdge& qe = query.Edge(e);
+    leaf[e] = (degree[qe.src] == 1) != (degree[qe.dst] == 1);
+  }
+  return leaf;
+}
+
 }  // namespace wireframe

@@ -1,6 +1,7 @@
 #ifndef WIREFRAME_QUERY_SHAPE_H_
 #define WIREFRAME_QUERY_SHAPE_H_
 
+#include <utility>
 #include <vector>
 
 #include "query/query_graph.h"
@@ -39,6 +40,18 @@ bool IsConnected(const QueryGraph& query);
 
 /// True iff the query graph is tree-shaped.
 bool IsAcyclic(const QueryGraph& query);
+
+/// The pendant ("leaf") edges of `query`, indexed by query-edge id: an
+/// edge is a leaf iff exactly one of its endpoints has degree 1. Degrees
+/// count the query edges plus `links`, extra undirected variable pairs
+/// such as materialized chords, so a link endpoint is never a leaf
+/// variable. The other edges form the skeleton, which stays connected
+/// when the leaves are removed. A star (every edge shares one center)
+/// has no skeleton edge; callers then keep one edge of it as the
+/// skeleton.
+std::vector<bool> LeafEdges(
+    const QueryGraph& query,
+    const std::vector<std::pair<VarId, VarId>>& links = {});
 
 }  // namespace wireframe
 

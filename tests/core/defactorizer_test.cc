@@ -1,7 +1,10 @@
 #include "core/defactorizer.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -184,11 +187,11 @@ bool IsEmbedding(const AnswerGraph& ag, const std::vector<NodeId>& row) {
   return true;
 }
 
-/// The reference is per-candidate extension over the build-form AG, as
-/// the defactorizer counted it before phase 2 became frozen-only; its
-/// counters are pinned as literals. Rows: the threads=1 run yields
-/// `expected.emitted` distinct rows, each a valid embedding (so it is
-/// exactly the embedding set), and threads=4 yields the same multiset.
+/// The counters are pinned as literals (extensions: skeleton binding
+/// attempts + leaf spans fetched + rows written by leaf products).
+/// Rows: the threads=1 run yields `expected.emitted` distinct rows, each
+/// a valid embedding (so it is exactly the embedding set), and threads=4
+/// yields the same multiset.
 void ExpectInvariantStats(const QueryGraph& q, AnswerGraph& ag,
                           const EmbeddingPlan& plan,
                           const DefactorizerStats& expected) {
@@ -255,19 +258,87 @@ void FillSnowflake(AnswerGraph& ag) {
 
 TEST(DefactorizerBatchTest, SnowflakeStatsMatchAcrossThreadCounts) {
   const QueryGraph q = SnowflakeQuery();
-  // Last depth a -3-> e extends forward; then f -4-> c extends backward.
+  // The skeleton is c -0-> a alone; the other four edges are leaves
+  // (f -4-> c extends backward). Either order enumerates 450 roots,
+  // fetches 4 leaf spans per root and writes 8952 product rows.
   {
     AnswerGraph ag(q);
     FillSnowflake(ag);
     ExpectInvariantStats(q, ag, PlanOrder({4, 0, 1, 2, 3}),
-                         Expected(8952, 16866, 0));
+                         Expected(8952, 450 + 4 * 450 + 8952, 0));
   }
   {
     AnswerGraph ag(q);
     FillSnowflake(ag);
     ExpectInvariantStats(q, ag, PlanOrder({0, 1, 2, 3, 4}),
-                         Expected(8952, 17235, 0));
+                         Expected(8952, 450 + 4 * 450 + 8952, 0));
   }
+}
+
+TEST(DefactorizerBatchTest, ProductRowsFollowTheLeafOrder) {
+  // One skeleton binding, two leaves: the last leaf in the plan varies
+  // fastest, as depth-first recursion over the same order would.
+  QueryGraph q = StarTemplate(3).Instantiate({0, 1, 2});
+  AnswerGraph ag(q);
+  ag.Materialize(0, {{1, 10}});
+  ag.Materialize(1, {{1, 20}, {1, 21}});
+  ag.Materialize(2, {{1, 30}, {1, 31}, {1, 32}});
+  ag.Freeze();
+  Defactorizer defac(q, ag);
+  CollectingSink sink;
+  ASSERT_TRUE(
+      defac.Emit(PlanOrder({0, 2, 1}), &sink, DefactorizerOptions{}).ok());
+  std::vector<std::vector<NodeId>> expected;
+  for (NodeId l2 : {30, 31, 32}) {
+    for (NodeId l1 : {20, 21}) expected.push_back({1, 10, l1, l2});
+  }
+  EXPECT_EQ(sink.rows(), expected);
+}
+
+TEST(DefactorizerBatchTest, EmptyLeafSpanPrunesTheSkeletonBinding) {
+  // x -0-> y -1-> z with a leaf y -2-> w that only y=6 has: the binding
+  // y=5 is cut when y binds, before z is enumerated.
+  QueryGraph q;
+  const VarId x = q.AddVar("x"), y = q.AddVar("y");
+  const VarId z = q.AddVar("z"), w = q.AddVar("w");
+  const VarId t = q.AddVar("t");
+  q.AddEdge(x, 0, y);
+  q.AddEdge(y, 1, z);
+  q.AddEdge(y, 2, w);
+  q.AddEdge(z, 3, t);
+  q.AddEdge(x, 4, t);
+  AnswerGraph ag(q);
+  ag.Materialize(0, {{1, 5}, {1, 6}});
+  ag.Materialize(1, {{5, 7}, {6, 7}});
+  ag.Materialize(2, {{6, 9}});
+  ag.Materialize(3, {{7, 8}});
+  ag.Materialize(4, {{1, 8}});
+  // 2 roots + 2 leaf spans (one empty) + y=6's walk to z, t and the
+  // closing x -4-> t check (3) + 1 product row. Without the prune, y=5
+  // would walk y -1-> z as well.
+  ExpectInvariantStats(q, ag, PlanOrder({0, 1, 2, 3, 4}),
+                       Expected(1, 2 + 2 + 3 + 1, 0));
+}
+
+TEST(DefactorizerBatchTest, RowsWiderThanTheTemplateMatchAcrossThreads) {
+  // 18 variables: past the 16-word row template, rows take the plain
+  // copy. Arms 3, 6, 9, 12 and 15 hold two values, the others one.
+  const uint32_t arms = 17;
+  std::vector<LabelId> labels(arms);
+  for (uint32_t i = 0; i < arms; ++i) labels[i] = i;
+  const QueryGraph q = StarTemplate(arms).Instantiate(labels);
+  ASSERT_GT(q.NumVars(), 16u);
+  AnswerGraph ag(q);
+  ag.Materialize(0, {{1, 100}});
+  for (uint32_t e = 1; e < arms; ++e) {
+    std::vector<std::pair<NodeId, NodeId>> arm = {{1, 1000 * e}};
+    if (e % 3 == 0) arm.emplace_back(1, 1000 * e + 1);
+    ag.Materialize(e, std::move(arm));
+  }
+  std::vector<uint32_t> order(arms);
+  for (uint32_t e = 0; e < arms; ++e) order[e] = e;
+  // 1 root + 16 leaf spans + 2^5 product rows.
+  ExpectInvariantStats(q, ag, PlanOrder(order), Expected(32, 1 + 16 + 32, 0));
 }
 
 TEST(DefactorizerBatchTest, DiamondWithChordAtLastDepthMatchesAcrossThreads) {
@@ -306,6 +377,164 @@ TEST(DefactorizerBatchTest, DiamondWithChordAtLastDepthMatchesAcrossThreads) {
   // 1800 rejections: the chord bites.
   ExpectInvariantStats(q, ag, PlanOrder({0, 1, 2}),
                        Expected(3600, 6840, 1800));
+}
+
+// --- Product-path interrupts: one skeleton binding expands to 262,144
+// rows, so cancel, deadline and sink declines must stop the product
+// itself, within one batch. ---
+
+/// Rows per defactorizer output batch.
+constexpr uint64_t kBatchRows = 256;
+
+/// A star whose root edge holds one pair and whose three other arms are
+/// 64-wide leaves: 64^3 rows from a single skeleton binding.
+struct WideStar {
+  QueryGraph q = StarTemplate(4).Instantiate({0, 1, 2, 3});
+  AnswerGraph ag{q};
+
+  WideStar() {
+    ag.Materialize(0, {{1, 2}});
+    for (uint32_t e = 1; e < 4; ++e) {
+      std::vector<std::pair<NodeId, NodeId>> arm;
+      for (NodeId i = 0; i < 64; ++i) arm.emplace_back(1, 1000 * e + i);
+      ag.Materialize(e, std::move(arm));
+    }
+    ag.Freeze();
+  }
+
+  Result<DefactorizerStats> Emit(Sink* sink, const EngineOptions& run) const {
+    return Defactorizer(q, ag).Emit(PlanOrder({0, 1, 2, 3}), sink,
+                                    DefactorizerOptions{}, run);
+  }
+};
+
+/// Raises a cancel flag when it receives its first batch, and accepts it.
+class CancelOnFirstBatchSink : public Sink {
+ public:
+  explicit CancelOnFirstBatchSink(std::atomic<bool>* cancel)
+      : cancel_(cancel) {}
+  bool Emit(const std::vector<NodeId>&) override {
+    cancel_->store(true);
+    ++count_;
+    return true;
+  }
+  bool EmitBatch(const NodeId*, size_t n, size_t) override {
+    cancel_->store(true);
+    count_ += n;
+    return true;
+  }
+  uint64_t count() const override { return count_; }
+
+ private:
+  std::atomic<bool>* cancel_;
+  uint64_t count_ = 0;
+};
+
+TEST(DefactorizerProductTest, WideStarEmitsTheFullProduct) {
+  WideStar star;
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    CountingSink sink;
+    EngineOptions run;
+    run.pool = p;
+    auto stats = star.Emit(&sink, run);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->emitted, 262144u);
+    // One root, three leaf spans, one extension per product row.
+    EXPECT_EQ(stats->extensions, 1u + 3u + 262144u);
+  }
+}
+
+TEST(DefactorizerProductTest, CancelRaisedBySinkStopsTheProduct) {
+  WideStar star;
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::atomic<bool> cancel{false};
+    CancelOnFirstBatchSink sink(&cancel);
+    EngineOptions run;
+    run.pool = p;
+    run.cancel = &cancel;
+    auto stats = star.Emit(&sink, run);
+    ASSERT_FALSE(stats.ok());
+    EXPECT_TRUE(stats.status().IsCancelled()) << stats.status().ToString();
+    EXPECT_LE(sink.count(), kBatchRows);
+  }
+}
+
+TEST(DefactorizerProductTest, LimitSinkStopsWithExactlyItsRows) {
+  WideStar star;
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    LimitSink sink(1000);
+    EngineOptions run;
+    run.pool = p;
+    auto stats = star.Emit(&sink, run);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(sink.count(), 1000u);
+    EXPECT_EQ(stats->emitted, 1000u);
+  }
+}
+
+TEST(DefactorizerProductTest, RowsMadePastADeclineStayWithinOneBatch) {
+  WideStar star;
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const uint64_t contexts = p == nullptr ? 1 : p->num_threads();
+    for (const uint64_t limit : {1u, 1000u}) {
+      LimitSink sink(limit);
+      EngineOptions run;
+      run.pool = p;
+      auto stats = star.Emit(&sink, run);
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      // extensions = 1 root + 3 leaf spans + the rows the product made.
+      const uint64_t made = stats->extensions - 4;
+      EXPECT_GE(made, stats->emitted);
+      EXPECT_LE(made - stats->emitted, kBatchRows * contexts)
+          << "limit " << limit;
+    }
+  }
+}
+
+/// Holds its first batch until `deadline` has expired, then accepts it.
+class HoldUntilDeadlineSink : public Sink {
+ public:
+  explicit HoldUntilDeadlineSink(Deadline deadline) : deadline_(deadline) {}
+  bool Emit(const std::vector<NodeId>&) override {
+    Hold();
+    ++count_;
+    return true;
+  }
+  bool EmitBatch(const NodeId*, size_t n, size_t) override {
+    Hold();
+    count_ += n;
+    return true;
+  }
+  uint64_t count() const override { return count_; }
+
+ private:
+  void Hold() {
+    while (!deadline_.Expired()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+
+  Deadline deadline_;
+  uint64_t count_ = 0;
+};
+
+TEST(DefactorizerProductTest, DeadlinePassingMidProductStopsIt) {
+  WideStar star;
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    EngineOptions run;
+    run.pool = p;
+    run.deadline = Deadline::AfterSeconds(0.01);
+    HoldUntilDeadlineSink sink(run.deadline);
+    auto stats = star.Emit(&sink, run);
+    ASSERT_FALSE(stats.ok());
+    EXPECT_TRUE(stats.status().IsTimedOut()) << stats.status().ToString();
+    EXPECT_LE(sink.count(), kBatchRows);
+  }
 }
 
 }  // namespace

@@ -5,11 +5,13 @@
 // and mid-defactorization cancellation. The concurrent same-key test is
 // the TSan workload for the single-flight fill protocol.
 
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -60,6 +62,41 @@ class GateSink : public Sink {
   std::condition_variable release_cv_;
   bool started_ = false;
   bool released_ = false;
+  uint64_t count_ = 0;
+};
+
+/// Holds the first batch (or row) it receives until `hold_seconds` have
+/// passed since it arrived. A deadline of at most that much, set before
+/// phase 2 started, has then provably expired mid-enumeration, however
+/// fast the enumeration is.
+class HoldFirstBatchSink : public Sink {
+ public:
+  explicit HoldFirstBatchSink(double hold_seconds)
+      : hold_seconds_(hold_seconds) {}
+  bool Emit(const std::vector<NodeId>&) override {
+    Hold();
+    ++count_;
+    return true;
+  }
+  bool EmitBatch(const NodeId*, size_t n, size_t) override {
+    Hold();
+    count_ += n;
+    return true;
+  }
+  uint64_t count() const override { return count_; }
+
+ private:
+  void Hold() {
+    if (held_) return;
+    held_ = true;
+    const Deadline until = Deadline::AfterSeconds(hold_seconds_);
+    while (!until.Expired()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  }
+
+  double hold_seconds_;
+  bool held_ = false;
   uint64_t count_ = 0;
 };
 
@@ -215,7 +252,10 @@ TEST_F(CacheRuntimeTest, DeadlineStillFiresOnTheHitPath) {
   (*fill)->Wait();
   ASSERT_EQ((*fill)->outcome(), QueryOutcome::kCompleted);
 
-  QueryRequest timed = Request();
+  // The sink holds phase 2 past the deadline, so the timeout cannot
+  // race a fast enumeration.
+  HoldFirstBatchSink hold(/*hold_seconds=*/1e-3);
+  QueryRequest timed = Request(&hold);
   timed.timeout_seconds = 1e-4;
   auto session = runtime.Submit(std::move(timed));
   ASSERT_TRUE(session.ok());

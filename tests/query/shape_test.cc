@@ -117,5 +117,37 @@ TEST(ShapeTest, FiveCycle) {
   EXPECT_EQ(s.cycles[0].Length(), 5u);
 }
 
+TEST(ShapeTest, SnowflakeLeavesAreItsSixPendantEdges) {
+  QueryGraph q =
+      SnowflakeTemplate().Instantiate(std::vector<LabelId>(9, 0));
+  const std::vector<bool> leaf = LeafEdges(q);
+  // Edges 0-2 join x to m, y and z; the other six end in a leaf variable.
+  EXPECT_EQ(leaf, (std::vector<bool>{false, false, false, true, true, true,
+                                     true, true, true}));
+}
+
+TEST(ShapeTest, StarAndSingleEdgeHaveNoSkeleton) {
+  const QueryGraph star = StarTemplate(3).Instantiate({0, 1, 2});
+  EXPECT_EQ(LeafEdges(star), (std::vector<bool>{true, true, true}));
+  // Both endpoints of a lone edge have degree 1: not a leaf, the skeleton.
+  EXPECT_EQ(LeafEdges(Chain(1)), (std::vector<bool>{false}));
+}
+
+TEST(ShapeTest, LinksRaiseDegreesSoChordEndpointsAreNeverLeaves) {
+  // x -0-> y, x -1-> z: both edges are leaves of the star at x, until a
+  // chord links y and z.
+  QueryGraph q;
+  const VarId x = q.AddVar("x"), y = q.AddVar("y"), z = q.AddVar("z");
+  q.AddEdge(x, 0, y);
+  q.AddEdge(x, 1, z);
+  EXPECT_EQ(LeafEdges(q), (std::vector<bool>{true, true}));
+  EXPECT_EQ(LeafEdges(q, {{y, z}}), (std::vector<bool>{false, false}));
+}
+
+TEST(ShapeTest, CycleHasNoLeaves) {
+  const QueryGraph q = DiamondTemplate().Instantiate({0, 1, 2, 3});
+  EXPECT_EQ(LeafEdges(q), std::vector<bool>(4, false));
+}
+
 }  // namespace
 }  // namespace wireframe
