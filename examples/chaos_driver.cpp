@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
       // no gaps), same aggregate.
       bool identical =
           result->report.outcome == expect[i].outcome &&
-          Sorted(result->rows) == expect_rows[i];
+          Sorted(result->rows.ToVectors()) == expect_rows[i];
       if (identical && expect[i].has_aggregate) {
         identical = result->report.has_aggregate &&
                     SameAggregate(result->report.aggregate,

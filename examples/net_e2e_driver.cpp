@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
               got.admitted == expect.admitted,
           "query " + std::to_string(i) + " outcome " +
               runtime::QueryOutcomeName(got.outcome));
-    Check(Sorted(streamed->rows) == Sorted(sinks[i].rows()),
+    Check(Sorted(streamed->rows.ToVectors()) == Sorted(sinks[i].rows()),
           "query " + std::to_string(i) + " rows bit-identical (" +
               std::to_string(streamed->rows.size()) + " rows)");
     if (expect.has_aggregate) {
@@ -272,8 +272,8 @@ int main(int argc, char** argv) {
     bool healthy = false;
     if (after.ok()) {
       auto rerun = (*after)->Run(queries[repeat_index]);
-      healthy = rerun.ok() &&
-                Sorted(rerun->rows) == Sorted(sinks[repeat_index].rows());
+      healthy = rerun.ok() && Sorted(rerun->rows.ToVectors()) ==
+                                  Sorted(sinks[repeat_index].rows());
       (void)(*after)->Goodbye();
     }
     Check(healthy, "server healthy after mid-stream client kill");

@@ -27,9 +27,11 @@
 //   .help                 this text
 //   .quit                 exit
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <span>
 #include <sstream>
 
 #include "catalog/catalog.h"
@@ -256,16 +258,16 @@ int RunRemoteShell(const Flags& flags) {
         std::cout << "count = " << aggregate.value.ToString();
       }
     } else {
-      uint64_t shown = 0;
-      for (const auto& row : result->rows) {
-        if (shown == print_limit) break;
+      const net::RowTable& rows = result->rows;
+      const uint64_t shown = std::min<uint64_t>(rows.size(), print_limit);
+      for (uint64_t r = 0; r < shown; ++r) {
+        const std::span<const NodeId> row = rows.Row(r);
         for (size_t i = 0; i < row.size(); ++i) {
           std::cout << (i == 0 ? "" : "\t") << row[i];
         }
         std::cout << "\n";
-        ++shown;
       }
-      if (result->rows.size() > shown) {
+      if (rows.size() > shown) {
         std::cout << "... and " << (result->rows.size() - shown)
                   << " more rows\n";
       }

@@ -1,5 +1,6 @@
 #include "net/client.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -21,6 +22,36 @@ int64_t NowMs() {
 constexpr int kLivenessSliceMs = 50;
 
 }  // namespace
+
+std::span<const NodeId> RowTable::Row(size_t i) const {
+  // The batch holding row i is the last one starting at or before it.
+  const size_t batch =
+      std::upper_bound(first_row_.begin(), first_row_.end(), i) -
+      first_row_.begin() - 1;
+  return {batches_[batch].data.data() + (i - first_row_[batch]) * width_,
+          width_};
+}
+
+std::vector<std::vector<NodeId>> RowTable::ToVectors() const {
+  std::vector<std::vector<NodeId>> rows;
+  rows.reserve(rows_);
+  for (std::span<const NodeId> row : *this) {
+    rows.emplace_back(row.begin(), row.end());
+  }
+  return rows;
+}
+
+Status RowTable::Append(RowBatchFrame&& batch) {
+  if (width_ == 0) width_ = batch.width;
+  if (batch.width != width_) {
+    return Status::Internal("row batch width changed mid-stream");
+  }
+  if (batch.data.empty()) return Status::OK();
+  first_row_.push_back(rows_);
+  rows_ += batch.rows();
+  batches_.push_back(std::move(batch));
+  return Status::OK();
+}
 
 Result<std::unique_ptr<Client>> Client::Connect(const std::string& address,
                                                ClientOptions options) {
@@ -141,16 +172,7 @@ Result<QueryResult> Client::Run(const QueryFrame& query,
         WF_ASSIGN_OR_RETURN(RowBatchFrame batch,
                             DecodeRowBatch(frame.payload));
         if (hook) hook(batch);
-        if (result.width == 0) result.width = batch.width;
-        if (batch.width != result.width) {
-          return Status::Internal("row batch width changed mid-stream");
-        }
-        const size_t rows = batch.rows();
-        for (size_t r = 0; r < rows; ++r) {
-          result.rows.emplace_back(
-              batch.data.begin() + r * batch.width,
-              batch.data.begin() + (r + 1) * batch.width);
-        }
+        WF_RETURN_NOT_OK(result.rows.Append(std::move(batch)));
         break;
       }
       case FrameType::kAggregate: {

@@ -1,8 +1,11 @@
 #ifndef WIREFRAME_NET_CLIENT_H_
 #define WIREFRAME_NET_CLIENT_H_
 
+#include <cstddef>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,10 +51,86 @@ struct ClientOptions {
   FaultInjector* fault_injector = nullptr;
 };
 
+/// A streamed query's result rows, kept as the ROW-BATCH frames they
+/// arrived in: each decoded batch is moved in whole, so collecting a
+/// result costs no per-row allocation and no copy past the decode. Rows
+/// keep stream order across batch boundaries; Row(i) and iteration view
+/// them as spans of width() node ids.
+class RowTable {
+ public:
+  /// Forward iterator over the rows, in stream order.
+  class Iterator {
+   public:
+    // A forward range whose rows are views, so for the pre-C++20
+    // iterator traits (which want a true reference) it is an input one.
+    using iterator_concept = std::forward_iterator_tag;
+    using iterator_category = std::input_iterator_tag;
+    using value_type = std::span<const NodeId>;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = std::span<const NodeId>;
+
+    Iterator() = default;
+    std::span<const NodeId> operator*() const {
+      return {table_->batches_[batch_].data.data() + row_ * table_->width_,
+              table_->width_};
+    }
+    Iterator& operator++() {
+      if (++row_ == table_->batches_[batch_].rows()) {
+        ++batch_;
+        row_ = 0;
+      }
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++*this;
+      return before;
+    }
+    bool operator==(const Iterator& other) const {
+      return batch_ == other.batch_ && row_ == other.row_;
+    }
+
+   private:
+    friend class RowTable;
+    Iterator(const RowTable* table, size_t batch)
+        : table_(table), batch_(batch) {}
+
+    const RowTable* table_ = nullptr;
+    size_t batch_ = 0;
+    size_t row_ = 0;
+  };
+
+  /// Node ids per row; 0 until the first batch arrives.
+  uint32_t width() const { return width_; }
+  size_t size() const { return rows_; }
+  bool empty() const { return rows_ == 0; }
+
+  /// Row `i` in stream order (i < size()).
+  std::span<const NodeId> Row(size_t i) const;
+
+  Iterator begin() const { return Iterator(this, 0); }
+  Iterator end() const { return Iterator(this, batches_.size()); }
+
+  /// The rows as one vector each — for comparisons against
+  /// CollectingSink::rows(). Allocates per row; not for hot paths.
+  std::vector<std::vector<NodeId>> ToVectors() const;
+
+  /// Moves `batch` in. Rejects a batch whose width differs from the
+  /// stream's; a batch without rows only fixes the width.
+  Status Append(RowBatchFrame&& batch);
+
+ private:
+  uint32_t width_ = 0;
+  size_t rows_ = 0;
+  /// Non-empty batches, and the row count before each (for Row(i)).
+  std::vector<RowBatchFrame> batches_;
+  std::vector<size_t> first_row_;
+};
+
 /// One streamed query's results, collected.
 struct QueryResult {
-  uint32_t width = 0;
-  std::vector<std::vector<NodeId>> rows;
+  RowTable rows;
   /// Terminal REPORT, with the AGGREGATE frame (if any) folded back into
   /// report.aggregate.
   runtime::QueryReport report;
@@ -63,7 +142,7 @@ struct QueryResult {
 class Client {
  public:
   /// Called on every ROW-BATCH as it is read off the wire, before the
-  /// rows are appended to the result. Tests use it to pace reads (slow
+  /// batch is moved into the result. Tests use it to pace reads (slow
   /// reader) or to fire a CANCEL mid-stream.
   using BatchHook = std::function<void(const RowBatchFrame& batch)>;
 

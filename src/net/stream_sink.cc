@@ -8,9 +8,6 @@ namespace net {
 
 void StreamSink::Start(size_t width) {
   width_ = static_cast<uint32_t>(width);
-  // Set the width immediately: batch_.rows() divides by it, and the
-  // flush-at-batch_rows_ check depends on a real row count.
-  batch_.width = width_;
   const uint64_t row_bytes = std::max<uint64_t>(1, width_ * sizeof(NodeId));
   // One encoded frame must fit in half the send buffer (strict
   // high-water bound) and under the frame cap.
@@ -33,25 +30,41 @@ void StreamSink::Start(size_t width) {
 bool StreamSink::EmitBatch(const NodeId* rows, size_t n, size_t width) {
   if (!stream_status_.ok()) return false;  // sticky after any failure
   if (width_ == 0) Start(width);
+  if (width_ == 0) {
+    // Rows that bind no variable carry no bytes, and ROW-BATCH cannot
+    // encode them (width 0 is malformed): they are counted, not sent.
+    emitted_ += n;
+    return true;
+  }
+  const size_t row_bytes = width * sizeof(NodeId);
   while (n > 0) {
+    if (frame_rows_ == 0) {
+      // Open a frame sized for its full quota, so appends never
+      // reallocate; the headers are written over the room at the front
+      // when the frame is cut.
+      frame_.reserve(kFrameHeaderBytes + kRowBatchHeaderBytes +
+                     batch_rows_ * row_bytes);
+      frame_.assign(kFrameHeaderBytes + kRowBatchHeaderBytes, '\0');
+    }
     // Fill the open frame up to its row quota, then cut it.
     const size_t take = static_cast<size_t>(
-        std::min<uint64_t>(n, batch_rows_ - batch_.rows()));
-    batch_.data.insert(batch_.data.end(), rows, rows + take * width);
+        std::min<uint64_t>(n, batch_rows_ - frame_rows_));
+    frame_.append(reinterpret_cast<const char*>(rows), take * row_bytes);
+    frame_rows_ += take;
     emitted_ += take;
     rows += take * width;
     n -= take;
-    if (batch_.rows() >= batch_rows_ && !FlushBatch()) return false;
+    if (frame_rows_ >= batch_rows_ && !FlushBatch()) return false;
   }
   return true;
 }
 
 bool StreamSink::FlushBatch() {
-  batch_.width = width_;
-  std::string frame;
-  AppendFrame(FrameType::kRowBatch, EncodeRowBatch(batch_), &frame);
-  batch_.data.clear();
-  return Push(std::move(frame));
+  EncodeRowBatchHeader(width_, static_cast<uint32_t>(frame_rows_),
+                       frame_.data() + kFrameHeaderBytes);
+  SealFrame(FrameType::kRowBatch, &frame_);
+  frame_rows_ = 0;
+  return Push(std::exchange(frame_, std::string()));
 }
 
 bool StreamSink::Push(std::string frame) {

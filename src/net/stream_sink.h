@@ -70,7 +70,9 @@ struct Connection {
 ///
 /// Frames are cut every `batch_rows` rows of the stream, however the
 /// rows arrive: a row at a time (Emit) or in engine batches (EmitBatch,
-/// appended in bulk) yield byte-identical frames.
+/// appended in bulk) yield byte-identical frames. Rows are copied once,
+/// from the engine's buffer straight into the open frame; the frame and
+/// payload headers are filled in when the frame is cut.
 class StreamSink : public Sink {
  public:
   StreamSink(const SocketServerOptions& options, Connection* conn,
@@ -88,7 +90,7 @@ class StreamSink : public Sink {
   /// Flushes the partial tail batch. Call after the session finished
   /// (no Emit can be in flight).
   void Finish() {
-    if (stream_status_.ok() && !batch_.data.empty()) FlushBatch();
+    if (stream_status_.ok() && frame_rows_ > 0) FlushBatch();
   }
 
   /// Reader thread: unstick a suspended Emit (CANCEL frame, GOODBYE,
@@ -105,6 +107,7 @@ class StreamSink : public Sink {
   /// First row: fixes the row width, the rows per frame, and the
   /// suspension budget.
   void Start(size_t width);
+  /// Seals the open frame and pushes it.
   bool FlushBatch();
   /// Back-pressured enqueue; on refusal records why in stream_status_.
   bool Push(std::string frame);
@@ -114,7 +117,10 @@ class StreamSink : public Sink {
   const double timeout_seconds_;
   uint32_t width_ = 0;
   uint64_t batch_rows_ = 1;
-  RowBatchFrame batch_;
+  /// The open ROW-BATCH frame: room for the frame and payload headers,
+  /// then `frame_rows_` rows.
+  std::string frame_;
+  uint64_t frame_rows_ = 0;
   uint64_t emitted_ = 0;
   std::atomic<bool> cancel_{false};
   InterruptProbe probe_;

@@ -1,5 +1,9 @@
 #include "net/wire.h"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace wireframe {
 namespace net {
 
@@ -86,14 +90,18 @@ const char* FrameTypeName(FrameType type) {
 namespace {
 
 /// Resumable Fletcher-16 with the customary 255 modulus, deferred so the
-/// inner loop is two adds per byte. Resumability lets the frame checksum
-/// chain the 6-byte header prefix and the payload without concatenating.
+/// sums are reduced once per block rather than once per byte.
+/// Resumability lets the frame checksum chain the 6-byte header prefix
+/// and the payload without concatenating.
 struct Fletcher16 {
   uint32_t sum1 = 0;
   uint32_t sum2 = 0;
 
   void Mix(const char* data, size_t n) {
     size_t i = 0;
+#if defined(__SSE2__)
+    i = MixChunks(data, n);
+#endif
     while (i < n) {
       // 5802 iterations is the largest block that cannot overflow u32
       // (both sums enter each block already reduced below 255).
@@ -106,6 +114,59 @@ struct Fletcher16 {
       sum2 %= 255;
     }
   }
+
+#if defined(__SSE2__)
+  /// Mixes the whole 16-byte chunks of `data` and returns how many bytes
+  /// that consumed; the byte loop takes the tail. Across one chunk
+  /// d[0..15], sum1 grows by the byte sum and sum2 by 16 * sum1 plus the
+  /// byte sum weighted 16..1. Over K chunks, the 16 * sum1 terms add up
+  /// to 16 * (K * sum1 + the running byte sum before each chunk), so the
+  /// lanes keep three sums: bytes, the running-sum prefix, and the
+  /// weighted bytes. They are folded into sum1/sum2 and reduced mod 255
+  /// every kBlockChunks chunks, which keeps every lane far from
+  /// overflow (the weighted u32 lanes gain at most 11730 per chunk).
+  size_t MixChunks(const char* data, size_t n) {
+    constexpr size_t kBlockChunks = 4096;
+    const __m128i zero = _mm_setzero_si128();
+    const __m128i weights_lo = _mm_setr_epi16(16, 15, 14, 13, 12, 11, 10, 9);
+    const __m128i weights_hi = _mm_setr_epi16(8, 7, 6, 5, 4, 3, 2, 1);
+    const size_t chunks = n / 16;
+    size_t done = 0;
+    while (done < chunks) {
+      const size_t block =
+          chunks - done < kBlockChunks ? chunks - done : kBlockChunks;
+      __m128i bytes = zero;     // 2 x u64: byte sums
+      __m128i prefix = zero;    // 2 x u64: byte sums before each chunk
+      __m128i weighted = zero;  // 4 x u32: bytes weighted 16..1
+      for (size_t c = 0; c < block; ++c) {
+        const __m128i v = _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(data + (done + c) * 16));
+        prefix = _mm_add_epi64(prefix, bytes);
+        bytes = _mm_add_epi64(bytes, _mm_sad_epu8(v, zero));
+        weighted = _mm_add_epi32(
+            weighted,
+            _mm_madd_epi16(_mm_unpacklo_epi8(v, zero), weights_lo));
+        weighted = _mm_add_epi32(
+            weighted,
+            _mm_madd_epi16(_mm_unpackhi_epi8(v, zero), weights_hi));
+      }
+      uint64_t lanes64[2];
+      uint32_t lanes32[4];
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes64), bytes);
+      const uint64_t byte_sum = lanes64[0] + lanes64[1];
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes64), prefix);
+      const uint64_t prefix_sum = lanes64[0] + lanes64[1];
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes32), weighted);
+      const uint64_t weighted_sum = static_cast<uint64_t>(lanes32[0]) +
+                                    lanes32[1] + lanes32[2] + lanes32[3];
+      sum2 = static_cast<uint32_t>(
+          (sum2 + 16 * (block * sum1 + prefix_sum) + weighted_sum) % 255);
+      sum1 = static_cast<uint32_t>((sum1 + byte_sum) % 255);
+      done += block;
+    }
+    return chunks * 16;
+  }
+#endif
 
   uint16_t Take() const {
     return static_cast<uint16_t>((sum2 << 8) | sum1);
@@ -201,6 +262,14 @@ void AppendFrame(FrameType type, const std::string& payload,
   out->append(payload);
 }
 
+void SealFrame(FrameType type, std::string* frame) {
+  const size_t n = frame->size() - kFrameHeaderBytes;
+  const char* payload = frame->data() + kFrameHeaderBytes;
+  EncodeFrameHeader({static_cast<uint32_t>(n), kWireVersion, type,
+                     FrameChecksum(type, payload, n)},
+                    frame->data());
+}
+
 std::string EncodeHello(const HelloFrame& hello) {
   WireWriter w;
   w.String(hello.service_class);
@@ -251,29 +320,39 @@ Result<QueryFrame> DecodeQuery(const std::string& payload) {
   return query;
 }
 
+void EncodeRowBatchHeader(uint32_t width, uint32_t rows, char* out) {
+  StoreU32Le(width, out);
+  StoreU32Le(rows, out + 4);
+}
+
 std::string EncodeRowBatch(const RowBatchFrame& batch) {
-  WireWriter w;
-  w.U32(batch.width);
-  w.U32(static_cast<uint32_t>(batch.rows()));
-  std::string payload = w.Take();
+  std::string payload(kRowBatchHeaderBytes, '\0');
+  EncodeRowBatchHeader(batch.width, static_cast<uint32_t>(batch.rows()),
+                       payload.data());
   payload.append(reinterpret_cast<const char*>(batch.data.data()),
                  batch.data.size() * sizeof(NodeId));
   return payload;
 }
 
 Result<RowBatchFrame> DecodeRowBatch(const std::string& payload) {
-  if (payload.size() < 8) return Malformed("ROW-BATCH");
+  if (payload.size() < kRowBatchHeaderBytes) return Malformed("ROW-BATCH");
   RowBatchFrame batch;
   batch.width = LoadU32Le(payload.data());
   const uint32_t rows = LoadU32Le(payload.data() + 4);
-  const size_t expected =
-      8 + static_cast<size_t>(rows) * batch.width * sizeof(NodeId);
-  if (batch.width == 0 || payload.size() != expected) {
+  if (batch.width == 0) return Malformed("ROW-BATCH");
+  // Bound the row count by what the payload can hold BEFORE multiplying:
+  // rows x width x 4 can wrap size_t, and a wrapped size that happened
+  // to match would turn the resize below into a huge allocation.
+  const size_t row_bytes = static_cast<size_t>(batch.width) * sizeof(NodeId);
+  const size_t body = payload.size() - kRowBatchHeaderBytes;
+  if (rows > body / row_bytes || body != rows * row_bytes) {
     return Malformed("ROW-BATCH");
   }
   batch.data.resize(static_cast<size_t>(rows) * batch.width);
-  std::memcpy(batch.data.data(), payload.data() + 8,
-              batch.data.size() * sizeof(NodeId));
+  if (body > 0) {
+    std::memcpy(batch.data.data(), payload.data() + kRowBatchHeaderBytes,
+                body);
+  }
   return batch;
 }
 

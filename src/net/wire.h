@@ -77,9 +77,13 @@ struct FrameHeader {
 
 inline constexpr size_t kFrameHeaderBytes = 8;
 
-/// Fletcher-16 over `n` bytes. Cheap (two adds per byte), catches every
-/// single-bit flip and all but ~0.002% of random corruption — plenty for
-/// detecting fault-injected damage; this is not a cryptographic MAC.
+/// Fletcher-16 over `n` bytes, mod 255. Cheap (on SSE2 hosts, sixteen
+/// bytes per step: one SAD for the plain sum and two multiply-adds for
+/// the position-weighted sum; elsewhere two adds per byte), catches
+/// every single-bit flip and all but ~0.002% of random corruption —
+/// plenty for detecting fault-injected damage; this is not a
+/// cryptographic MAC. Both paths compute the same value: the
+/// definition is the byte loop `sum1 += byte; sum2 += sum1;`.
 uint16_t FrameChecksum(const char* data, size_t n);
 
 /// The checksum a well-formed frame of `type` carrying `payload` must
@@ -115,6 +119,12 @@ Result<FrameHeader> DecodeFrameHeader(const char* data,
 /// Appends header + payload to `out` as one wire-ready frame.
 void AppendFrame(FrameType type, const std::string& payload,
                  std::string* out);
+
+/// Seals a frame built in place: `frame` holds kFrameHeaderBytes of room
+/// followed by the payload, and this writes the header over that room,
+/// checksum included. The result is byte-identical to AppendFrame of the
+/// same payload, without copying the payload into a second string.
+void SealFrame(FrameType type, std::string* frame);
 
 /// Little-endian payload writer. All multi-byte integers are LE; strings
 /// are u32 length + bytes.
@@ -234,13 +244,28 @@ Result<QueryFrame> DecodeQuery(const std::string& payload);
 
 /// ROW-BATCH: a run of result rows, row-major. `width` is the query's
 /// variable count and every batch of one stream carries the same width.
+/// Payload layout:
+///   u32 width | u32 rows | rows x width u32 node ids, row-major
+/// The server's StreamSink writes this layout straight into the frame it
+/// queues (EncodeRowBatchHeader, then the rows, then SealFrame); the
+/// client decodes each payload into one RowBatchFrame and keeps it whole
+/// (net::RowTable), so no hop copies a row more than once.
 struct RowBatchFrame {
   uint32_t width = 0;
   std::vector<NodeId> data;  // rows() x width, row-major
 
   size_t rows() const { return width == 0 ? 0 : data.size() / width; }
 };
+
+/// Bytes of the ROW-BATCH payload before its rows: u32 width | u32 rows.
+inline constexpr size_t kRowBatchHeaderBytes = 8;
+/// Writes the ROW-BATCH payload header (kRowBatchHeaderBytes) at `out`.
+void EncodeRowBatchHeader(uint32_t width, uint32_t rows, char* out);
+
 std::string EncodeRowBatch(const RowBatchFrame& batch);
+/// Rejects a zero width and any payload whose size is not exactly the
+/// header plus rows x width ids (checked without overflow, so a hostile
+/// width or row count is malformed, never a huge allocation).
 Result<RowBatchFrame> DecodeRowBatch(const std::string& payload);
 
 /// AGGREGATE: the out-of-band aggregate answer (COUNT/ASK/GROUP BY), sent

@@ -68,7 +68,7 @@ class FaultNetTest : public ::testing::Test {
     EXPECT_TRUE(clean.ok()) << clean.status().ToString();
     auto baseline = (*clean)->Run(query_);
     EXPECT_TRUE(baseline.ok()) << baseline.status().ToString();
-    baseline_rows_ = Sorted(baseline->rows);
+    baseline_rows_ = Sorted(baseline->rows.ToVectors());
     EXPECT_FALSE(baseline_rows_.empty());
     EXPECT_TRUE((*clean)->Goodbye().ok());
   }
@@ -104,7 +104,7 @@ TEST_F(FaultNetTest, ShortWritesStillDeliverTheFrameIntact) {
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   auto result = (*client)->Run(query_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(Sorted(result->rows), baseline_rows_);
+  EXPECT_EQ(Sorted(result->rows.ToVectors()), baseline_rows_);
   EXPECT_GT(injector.counters().short_io_spans, 0u);
   EXPECT_TRUE((*client)->Goodbye().ok());
 }
@@ -123,7 +123,7 @@ TEST_F(FaultNetTest, HeadersSplitAcrossReadsStillParse) {
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   auto result = (*client)->Run(query_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(Sorted(result->rows), baseline_rows_);
+  EXPECT_EQ(Sorted(result->rows.ToVectors()), baseline_rows_);
   EXPECT_TRUE((*client)->Goodbye().ok());
 }
 
@@ -151,7 +151,7 @@ TEST_F(FaultNetTest, FlippedQueryBitIsCaughtByTheChecksum) {
   ASSERT_TRUE(after.ok());
   auto rerun = (*after)->Run(query_);
   ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
-  EXPECT_EQ(Sorted(rerun->rows), baseline_rows_);
+  EXPECT_EQ(Sorted(rerun->rows.ToVectors()), baseline_rows_);
   EXPECT_TRUE((*after)->Goodbye().ok());
 }
 
@@ -194,7 +194,7 @@ TEST_F(FaultNetTest, MidFrameDisconnectIsTypedAndContained) {
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   auto rerun = (*after)->Run(query_);
   ASSERT_TRUE(rerun.ok());
-  EXPECT_EQ(Sorted(rerun->rows), baseline_rows_);
+  EXPECT_EQ(Sorted(rerun->rows.ToVectors()), baseline_rows_);
   EXPECT_TRUE((*after)->Goodbye().ok());
 }
 
@@ -231,7 +231,7 @@ TEST_F(FaultNetTest, DelayAndBlackholeOnlySlowTheStream) {
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   auto result = (*client)->Run(query_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(Sorted(result->rows), baseline_rows_);
+  EXPECT_EQ(Sorted(result->rows.ToVectors()), baseline_rows_);
   EXPECT_EQ(injector.counters().delays, 1u);
   EXPECT_EQ(injector.counters().blackholes, 1u);
   EXPECT_TRUE(injector.Drained());

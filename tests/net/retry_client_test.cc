@@ -58,7 +58,7 @@ class RetryClientTest : public ::testing::Test {
     EXPECT_TRUE(clean.ok()) << clean.status().ToString();
     auto baseline = (*clean)->Run(query_);
     EXPECT_TRUE(baseline.ok()) << baseline.status().ToString();
-    baseline_rows_ = Sorted(baseline->rows);
+    baseline_rows_ = Sorted(baseline->rows.ToVectors());
     EXPECT_TRUE((*clean)->Goodbye().ok());
   }
 
@@ -76,7 +76,7 @@ TEST_F(RetryClientTest, FaultFreeRunsMatchThePlainClient) {
   RetryingClient retry(Address(), {}, FastPolicy());
   auto result = retry.Run(query_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(Sorted(result->rows), baseline_rows_);
+  EXPECT_EQ(Sorted(result->rows.ToVectors()), baseline_rows_);
   EXPECT_EQ(retry.stats().connects, 1u);
   EXPECT_EQ(retry.stats().transport_retries, 0u);
   EXPECT_EQ(retry.stats().rejection_retries, 0u);
@@ -129,7 +129,7 @@ TEST_F(RetryClientTest, TransparentRetryAfterPreDeliveryReset) {
   RetryingClient retry(Address(), options, FastPolicy());
   auto result = retry.Run(query_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(Sorted(result->rows), baseline_rows_);
+  EXPECT_EQ(Sorted(result->rows.ToVectors()), baseline_rows_);
   EXPECT_EQ(retry.stats().transport_retries, 1u);
   EXPECT_EQ(retry.stats().connects, 2u);
   EXPECT_TRUE(injector.Drained());
@@ -163,7 +163,7 @@ TEST_F(RetryClientTest, SwallowedQueryLivelockIsBoundedAndRetried) {
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(Sorted(result->rows), baseline_rows_);
+  EXPECT_EQ(Sorted(result->rows.ToVectors()), baseline_rows_);
   EXPECT_GE(retry.stats().transport_retries, 1u);
   EXPECT_GE(retry.stats().connects, 2u);
   EXPECT_GE(injector.counters().blackholes, 1u);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -113,7 +114,7 @@ TEST_F(SocketServerTest, StreamedRowsMatchRunBatchBitExactly) {
     auto streamed = (*client)->Run(queries[i]);
     ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
     EXPECT_EQ(streamed->report.outcome, expect[i].outcome) << "query " << i;
-    EXPECT_EQ(Sorted(streamed->rows), Sorted(sinks[i].rows()))
+    EXPECT_EQ(Sorted(streamed->rows.ToVectors()), Sorted(sinks[i].rows()))
         << "query " << i;
     if (expect[i].has_aggregate) {
       ASSERT_TRUE(streamed->report.has_aggregate);
@@ -127,7 +128,7 @@ TEST_F(SocketServerTest, StreamedRowsMatchRunBatchBitExactly) {
   auto repeat = (*client)->Run(queries[5]);
   ASSERT_TRUE(repeat.ok());
   EXPECT_TRUE(repeat->report.cache_hit);
-  EXPECT_EQ(Sorted(repeat->rows), Sorted(sinks[5].rows()));
+  EXPECT_EQ(Sorted(repeat->rows.ToVectors()), Sorted(sinks[5].rows()));
   EXPECT_TRUE((*client)->Goodbye().ok());
 }
 
@@ -266,7 +267,19 @@ TEST(StreamSinkTest, BatchedAndPerRowDeliveryCutIdenticalFrames) {
   ASSERT_EQ(done, kRows);
   batched.Finish();
 
-  EXPECT_EQ(per_row_conn.queue.size(), (kRows + 6) / 7);
+  // The sink builds its frames in place; they must be exactly what
+  // EncodeRowBatch + AppendFrame produce for the same 7-row cuts.
+  std::deque<std::string> expect;
+  for (size_t first = 0; first < kRows; first += 7) {
+    const size_t last = std::min(first + 7, kRows);
+    RowBatchFrame batch;
+    batch.width = kWidth;
+    batch.data.assign(rows.begin() + first * kWidth,
+                      rows.begin() + last * kWidth);
+    AppendFrame(FrameType::kRowBatch, EncodeRowBatch(batch),
+                &expect.emplace_back());
+  }
+  EXPECT_EQ(per_row_conn.queue, expect);
   EXPECT_EQ(batched_conn.queue, per_row_conn.queue);
   EXPECT_EQ(batched_conn.queue_bytes, per_row_conn.queue_bytes);
   EXPECT_EQ(batched.count(), kRows);

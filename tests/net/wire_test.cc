@@ -3,6 +3,8 @@
 // (b) reject truncated payloads, and (c) reject trailing garbage —
 // a frame that does not parse EXACTLY is malformed, full stop.
 
+#include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -97,6 +99,75 @@ TEST(WireHeader, ChecksumDetectsAnyHeaderBitFlip) {
   }
 }
 
+/// The checksum's definition, one byte at a time with a reduction on
+/// every step. FrameChecksum's faster paths must agree with it on every
+/// input.
+uint16_t ReferenceFletcher16(const std::string& bytes) {
+  uint32_t sum1 = 0;
+  uint32_t sum2 = 0;
+  for (const char c : bytes) {
+    sum1 = (sum1 + static_cast<unsigned char>(c)) % 255;
+    sum2 = (sum2 + sum1) % 255;
+  }
+  return static_cast<uint16_t>(sum2 << 8 | sum1);
+}
+
+/// Deterministic filler bytes covering the whole 0..255 range.
+std::string PseudoRandomBytes(size_t n, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::string bytes(n, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng() & 0xff);
+  return bytes;
+}
+
+TEST(WireChecksum, KnownValues) {
+  // Textbook Fletcher-16 (mod 255) values.
+  EXPECT_EQ(FrameChecksum("abcde", 5), 0xC8F0);
+  EXPECT_EQ(FrameChecksum("abcdef", 6), 0x2057);
+  EXPECT_EQ(FrameChecksum("abcdefgh", 8), 0x0627);
+  EXPECT_EQ(FrameChecksum(nullptr, 0), 0);
+}
+
+TEST(WireChecksum, MatchesTheByteLoopAtEveryLengthAndAlignment) {
+  const std::string bytes = PseudoRandomBytes(300 + 16, 7);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t n = 0; n <= 300; ++n) {
+      ASSERT_EQ(FrameChecksum(bytes.data() + offset, n),
+                ReferenceFletcher16(bytes.substr(offset, n)))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(WireChecksum, ChainedPrefixAndPayloadMatchTheByteLoop) {
+  // FrameChecksum(type, ...) mixes the 6-byte header prefix and then
+  // the payload; the payload's chunked path starts from nonzero sums.
+  // Lengths straddle the 16-byte chunk and the 4096-chunk reduction
+  // block.
+  for (size_t n : {0, 1, 15, 16, 17, 255, 65535, 65536, 65537, 196649}) {
+    const std::string payload = PseudoRandomBytes(n, n + 1);
+    std::string prefixed(6, '\0');
+    prefixed[0] = static_cast<char>(n & 0xff);
+    prefixed[1] = static_cast<char>((n >> 8) & 0xff);
+    prefixed[2] = static_cast<char>((n >> 16) & 0xff);
+    prefixed[3] = static_cast<char>((n >> 24) & 0xff);
+    prefixed[4] = static_cast<char>(kWireVersion);
+    prefixed[5] = static_cast<char>(FrameType::kRowBatch);
+    prefixed += payload;
+    EXPECT_EQ(FrameChecksum(FrameType::kRowBatch, payload.data(), n),
+              ReferenceFletcher16(prefixed))
+        << "payload length " << n;
+  }
+}
+
+TEST(WireChecksum, AllOnesMaxFrameMatchesTheByteLoop) {
+  // 0xFF everywhere drives every lane sum to its ceiling: the worst case
+  // for overflow between reductions, at the largest legal frame.
+  const std::string payload(kDefaultMaxFrameBytes, '\xff');
+  EXPECT_EQ(FrameChecksum(payload.data(), payload.size()),
+            ReferenceFletcher16(payload));
+}
+
 TEST(WireHeader, EmptyPayloadStillChecksumsTheHeader) {
   // Even a payload-less frame carries a nonzero checksum: the six
   // header prefix bytes are covered, so a flipped PING type byte is
@@ -188,6 +259,48 @@ TEST(WireFrames, RowBatchRejectsSizeMismatch) {
   payload.resize(payload.size() - 1);  // truncate one byte
   EXPECT_FALSE(DecodeRowBatch(payload).ok());
   EXPECT_FALSE(DecodeRowBatch(std::string()).ok());
+
+  // Hostile width x rows products: 2^31 x 2^31 x 4 wraps size_t to 0,
+  // so an 8-byte payload used to pass the size check and throw from a
+  // 2^62-element resize. Every such header must be plain malformed.
+  for (uint32_t width : {1u, 2u, 3u, 1u << 30, 1u << 31, 0xffffffffu}) {
+    for (uint32_t rows : {1u, 2u, 1u << 30, 1u << 31, 0xffffffffu}) {
+      for (uint64_t body : {0, 4, 24}) {
+        const uint64_t row_bytes = uint64_t{4} * width;
+        if (body % row_bytes == 0 && body / row_bytes == rows) continue;
+        std::string hostile(kRowBatchHeaderBytes + body, '\0');
+        EncodeRowBatchHeader(width, rows, hostile.data());
+        auto decoded = DecodeRowBatch(hostile);
+        ASSERT_FALSE(decoded.ok())
+            << "width " << width << " rows " << rows << " body " << body;
+        EXPECT_TRUE(decoded.status().IsParseError());
+      }
+    }
+  }
+}
+
+TEST(WireFrames, RowBatchHeaderIsTheEncodedPrefix) {
+  RowBatchFrame batch;
+  batch.width = 2;
+  batch.data = {10, 11, 12, 13, 14, 15};
+  const std::string payload = EncodeRowBatch(batch);
+  char header[kRowBatchHeaderBytes];
+  EncodeRowBatchHeader(2, 3, header);
+  EXPECT_EQ(payload.substr(0, kRowBatchHeaderBytes),
+            std::string(header, kRowBatchHeaderBytes));
+  EXPECT_EQ(payload.size(), kRowBatchHeaderBytes + 6 * sizeof(NodeId));
+}
+
+TEST(WireFrames, SealFrameMatchesAppendFrame) {
+  for (const std::string& payload :
+       {std::string(), std::string("abc"), std::string(1000, '\xab')}) {
+    std::string appended;
+    AppendFrame(FrameType::kRowBatch, payload, &appended);
+    std::string sealed(kFrameHeaderBytes, '\0');
+    sealed += payload;
+    SealFrame(FrameType::kRowBatch, &sealed);
+    EXPECT_EQ(sealed, appended) << payload.size() << "-byte payload";
+  }
 }
 
 TEST(WireFrames, AggregateRoundTrip) {
