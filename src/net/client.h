@@ -104,7 +104,6 @@ class RowTable {
   /// Node ids per row; 0 until the first batch arrives.
   uint32_t width() const { return width_; }
   size_t size() const { return rows_; }
-  bool empty() const { return rows_ == 0; }
 
   /// Row `i` in stream order (i < size()).
   std::span<const NodeId> Row(size_t i) const;

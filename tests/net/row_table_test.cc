@@ -46,7 +46,7 @@ std::vector<NodeId> Flatten(const RowTable& table) {
 
 TEST(RowTable, RowsKeepStreamOrderAcrossBatches) {
   RowTable table;
-  EXPECT_TRUE(table.empty());
+  EXPECT_EQ(table.size(), 0u);
   EXPECT_EQ(table.begin(), table.end());
   ASSERT_TRUE(table.Append(Batch(2, {1, 2, 3, 4, 5, 6})).ok());
   ASSERT_TRUE(table.Append(Batch(2, {})).ok());  // empty: no row

@@ -279,18 +279,6 @@ TEST(WireFrames, RowBatchRejectsSizeMismatch) {
   }
 }
 
-TEST(WireFrames, RowBatchHeaderIsTheEncodedPrefix) {
-  RowBatchFrame batch;
-  batch.width = 2;
-  batch.data = {10, 11, 12, 13, 14, 15};
-  const std::string payload = EncodeRowBatch(batch);
-  char header[kRowBatchHeaderBytes];
-  EncodeRowBatchHeader(2, 3, header);
-  EXPECT_EQ(payload.substr(0, kRowBatchHeaderBytes),
-            std::string(header, kRowBatchHeaderBytes));
-  EXPECT_EQ(payload.size(), kRowBatchHeaderBytes + 6 * sizeof(NodeId));
-}
-
 TEST(WireFrames, SealFrameMatchesAppendFrame) {
   for (const std::string& payload :
        {std::string(), std::string("abc"), std::string(1000, '\xab')}) {
